@@ -1,8 +1,10 @@
 """Exact and Monte Carlo laws of partial sums, and Kolmogorov distances.
 
 Lattice laws are exact mixtures of noise convolutions conditioned on the
-occupancy count; continuous interval probabilities use a grid convolution
-whose error is tracked through the Kolmogorov-distance subadditivity of
+occupancy count.  The density probe's b_n = P(|g_1+...+g_n| <= sqrt(n)) is
+bracketed in rational arithmetic through the Binomial x Irwin-Hall form of
+the noise sum; general interval probabilities use a grid convolution whose
+error is tracked through the Kolmogorov-distance subadditivity of
 independent convolution.
 """
 
@@ -253,6 +255,89 @@ def interval_probability(
     raise BudgetExceeded(
         f"grid needs {ncells} cells (budget {cell_budget}) and Monte Carlo disabled"
     )
+
+
+def _irwin_hall_cdf_scaled(n: int, X: int, Q: int) -> int:
+    """n! Q^n P(U_1 + ... + U_n <= X/Q) for i.i.d. U(0, 1), as an integer."""
+    if X <= 0:
+        return 0
+    if X >= n * Q:
+        return math.factorial(n) * Q**n
+    return sum((-1) ** k * math.comb(n, k) * (X - k * Q) ** n for k in range(X // Q + 1))
+
+
+def two_interval_sum_probability(n: int, u):
+    """P(|g_1 + ... + g_n| <= u) as a Fraction, for rational u >= 0.
+
+    g = s (3/4 + V) with a fair sign s and V ~ U(-1/4, 1/4), and s V has the
+    law of V, so S_n = (3/4)(2J - n) + (IH_n - n/2)/2 with J ~ Bin(n, 1/2)
+    and IH_n the Irwin-Hall sum of n uniforms on [0, 1] (Irwin 1927; Hall
+    1927), independent of J.  Given J = j, |S_n| <= u is the event
+    IH_n in [n/2 - 2u - 3(2j - n)/2, n/2 + 2u - 3(2j - n)/2].
+    """
+    from fractions import Fraction
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    u = Fraction(u)
+    if u < 0:
+        raise ValueError("u must be >= 0")
+    # every Irwin-Hall argument is X/Q with X an integer: the interval's
+    # centre n/2 - 3(2j - n)/2 = 2n - 3j is an integer and 2u = U2/Q
+    Q = u.denominator
+    U2 = 2 * u.numerator
+    total = 0
+    for j in range(n + 1):
+        centre = (2 * n - 3 * j) * Q
+        inside = (_irwin_hall_cdf_scaled(n, centre + U2, Q)
+                  - _irwin_hall_cdf_scaled(n, centre - U2, Q))
+        total += math.comb(n, j) * inside
+    return Fraction(total, 2**n * math.factorial(n) * Q**n)
+
+
+ROOT_N_BITS = 64  # sqrt(n) is bracketed between multiples of 2^-64
+
+
+def root_n_interval_bracket(n: int):
+    """Fractions lo <= P(|g_1 + ... + g_n| <= sqrt(n)) <= hi.
+
+    The probability is non-decreasing in u, so it is bracketed by its values
+    at u_lo = isqrt(n 4^64)/2^64 <= sqrt(n) and u_lo + 2^-64 > sqrt(n); for
+    a perfect square n both ends are the exact value at u = isqrt(n).
+    """
+    from fractions import Fraction
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = math.isqrt(n)
+    if r * r == n:
+        v = two_interval_sum_probability(n, r)
+        return v, v
+    scale = 1 << ROOT_N_BITS
+    u_lo = Fraction(math.isqrt(n * scale * scale), scale)
+    return (two_interval_sum_probability(n, u_lo),
+            two_interval_sum_probability(n, u_lo + Fraction(1, scale)))
+
+
+def root_n_interval_probability(n: int) -> IntervalProbability:
+    """b_n = P(|g_1 + ... + g_n| <= sqrt(n)) for the two-interval noise, exactly.
+
+    value is the lower end of root_n_interval_bracket rounded down to a
+    float and error is (upper end - value) rounded up, so the probability
+    lies in [value, value + error]: the float rounding is inside error and
+    there is no sampling error.
+    """
+    from fractions import Fraction
+
+    lo, hi = root_n_interval_bracket(n)
+    value = float(lo)
+    if Fraction(value) > lo:
+        value = math.nextafter(value, -math.inf)
+    gap = hi - Fraction(value)
+    error = float(gap)
+    if Fraction(error) < gap:
+        error = math.nextafter(error, math.inf)
+    return IntervalProbability(value, error, "exact-rational")
 
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:

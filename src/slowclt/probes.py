@@ -15,15 +15,13 @@ import numpy as np
 
 from .construction import ProcessModel, Schedule, intersection_lower_bound
 from .distributions import (
-    IntervalProbability,
     LatticeDistribution,
-    interval_probability,
     kolmogorov_distance,
     lattice_sum_distribution,
-    normal_cdf,
+    root_n_interval_probability,
     sample_partial_sums,
 )
-from .errors import EvenIndex, LatticeMismatch, VariantMismatch
+from .errors import BudgetExceeded, EvenIndex, LatticeMismatch, VariantMismatch
 from .towers import TowerSystem, sample_trajectory_batch
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
@@ -62,12 +60,18 @@ def _rate_at(sched: Schedule, k: int) -> float:
     return a(sched.n[k])
 
 
-def llt_probe_lattice(model: ProcessModel, sched: Schedule, k: int) -> ProbeResult:
-    """mu(S_{n_k} = 0) >= a_{n_k}, with the closed-form intermediate bound."""
+def llt_probe_lattice(model: ProcessModel, sched: Schedule, k: int,
+                      dist: Optional[LatticeDistribution] = None) -> ProbeResult:
+    """mu(S_{n_k} = 0) >= a_{n_k}, with the closed-form intermediate bound.
+
+    dist, when given, is the exact law of S_{n_k} (lattice_sum_distribution
+    at n_k), so a caller running both lattice probes computes it once.
+    """
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice probe on a non-lattice model")
     n = sched.n[k]
-    dist = lattice_sum_distribution(model, n)
+    if dist is None:
+        dist = lattice_sum_distribution(model, n)
     value = dist.prob_at(0)
     bound = _rate_at(sched, k)
     inter = intersection_lower_bound(sched, k)
@@ -83,12 +87,18 @@ def llt_probe_lattice(model: ProcessModel, sched: Schedule, k: int) -> ProbeResu
 
 
 def clt_probe(model: ProcessModel, sched: Schedule, k: int,
-              ratio: Optional[ProbeResult] = None) -> ProbeResult:
-    """Kolmogorov distance at n_k against a_{n_k}/2 (lattice) or a_{n_k} (density)."""
+              ratio: Optional[ProbeResult] = None,
+              dist: Optional[LatticeDistribution] = None) -> ProbeResult:
+    """Kolmogorov distance at n_k against a_{n_k}/2 (lattice) or a_{n_k} (density).
+
+    dist (lattice variants) and ratio (density variant) take an already
+    computed law of S_{n_k} or llt-ratio result, as in llt_probe_lattice.
+    """
     n = sched.n[k]
     a_k = _rate_at(sched, k)
     if sched.variant in ("thm1", "thm3"):
-        dist = lattice_sum_distribution(model, n)
+        if dist is None:
+            dist = lattice_sum_distribution(model, n)
         value = kolmogorov_distance(dist, math.sqrt(model.sigma2), n)
         return ProbeResult(
             name="clt", index=k, value=value, bound=a_k / 2.0,
@@ -113,21 +123,24 @@ def llt_probe_density(
     k: int,
     mc_reps: Optional[int] = None,
     seed: int = 0,
-    b_target_error: float = 1e-6,
 ) -> ProbeResult:
     """(1/rho_k) mu(S_{n_k}/(sigma sqrt(n_k)) in [-rho_k, rho_k]) >= L, odd k.
 
     The certified value is the decomposition lower bound mu(G~_k) * b_{n_k}
     / rho_k: trajectories that stay inside tower k for the whole window
     contribute exactly the tower-mass fraction times the noise interval
-    probability, by independence of the noise and tower factors.
+    probability, by independence of the noise and tower factors.  b_{n_k} =
+    P(|g_1 + ... + g_n| <= sqrt(n)) comes from root_n_interval_probability,
+    a rational bracket with no sampling error (b_method "exact-rational").
+    mc_reps > 0 adds a Monte Carlo cross-check of the whole interval
+    probability to the details; it does not enter the certified value.
     """
     if model.variant != "thm2":
         raise VariantMismatch("density probe needs the density variant")
     if k % 2 == 0:
         raise EvenIndex(f"density ratio probe is certified for odd k, got {k}")
     n, H, p_k, d_k, rho_k = sched.n[k], sched.H[k], sched.p[k], sched.d[k], sched.rho[k]
-    b = interval_probability([1.0] * n, math.sqrt(n), target_error=b_target_error, seed=seed)
+    b = root_n_interval_probability(n)
     g_frac = (H - n + 1) * p_k / H  # mu(G~_k), exact from tower geometry
     value = g_frac * b.lower / rho_k
     L = sched.constants["L"]
@@ -290,6 +303,25 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
     return worst
 
 
+def _mds_bin_index(towers: np.ndarray, g: np.ndarray, j: int, n_towers: int) -> np.ndarray:
+    """Conditioning bin of each sample: tower sequence + signs of the other noise coordinates.
+
+    The row (towers, sign + 1) is read as one mixed-radix integer, radix
+    n_towers per tower column and 3 per sign column.  The key orders rows
+    lexicographically, so the bins are numbered exactly as by row-unique.
+    """
+    others = [i for i in range(g.shape[1]) if i != j]
+    span = n_towers ** towers.shape[1] * 3 ** len(others)
+    if span > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"strong-MDS bin key needs {span} values, more than int64 holds")
+    key = np.zeros(len(towers), dtype=np.int64)
+    for c in range(towers.shape[1]):
+        key = key * n_towers + towers[:, c]
+    for i in others:
+        key = key * 3 + (np.sign(g[:, i]).astype(np.int64) + 1)
+    return np.unique(key, return_inverse=True)[1]
+
+
 def _mds_mc(model, window, j, reps, seed, filter_coeff):
     sys = model.system
     towers, levels = sample_trajectory_batch(sys, seed, window, reps)
@@ -300,11 +332,7 @@ def _mds_mc(model, window, j, reps, seed, filter_coeff):
     f = w[:, j] * g[:, j]
     if filter_coeff and j >= 1:
         f = f + filter_coeff * w[:, j - 1] * g[:, j - 1]
-    # conditioning bin: tower sequence + signs of the other noise coordinates
-    others = [i for i in range(window) if i != j]
-    sign = np.sign(g[:, others]).astype(np.int8)
-    key_mat = np.concatenate([towers.astype(np.int64), sign.astype(np.int64) + 1], axis=1)
-    _, inverse = np.unique(key_mat, axis=0, return_inverse=True)
+    inverse = _mds_bin_index(towers, g, j, len(sys.towers))
     nbins = int(inverse.max()) + 1
     worst = 0.0
     used = 0

@@ -28,7 +28,11 @@ from .construction import (
     build_counterexample,
     derive_schedule,
 )
-from .distributions import LatticeDistribution
+from .distributions import (
+    LatticeDistribution,
+    lattice_sum_distribution,
+    root_n_interval_probability,
+)
 from .errors import BoundMismatch, ConfigError, ParseError
 from . import probes as pr
 
@@ -132,8 +136,9 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     results: list[pr.ProbeResult] = []
     if config.variant in ("thm1", "thm3"):
         for k in range(sched.K):
-            results.append(pr.llt_probe_lattice(model, sched, k))
-            results.append(pr.clt_probe(model, sched, k))
+            dist = lattice_sum_distribution(model, sched.n[k])
+            results.append(pr.llt_probe_lattice(model, sched, k, dist=dist))
+            results.append(pr.clt_probe(model, sched, k, dist=dist))
         results.append(pr.variance_probe(model))
         if config.variant == "thm1":
             results.append(
@@ -360,9 +365,10 @@ def verify_certificate(ndjson_path: str) -> list[str]:
     Returns a list of human-readable check descriptions on success; raises
     ParseError for malformed input and BoundMismatch when any recorded
     value, bound, or pass flag disagrees with the recomputation.  No
-    distribution or simulation work is redone: only the inexpensive bound
-    arithmetic (rate values, d_k(1 - rho_k), p_k/4, 7 eps_k) and the
-    directional comparisons.
+    lattice law or simulation is redone: the checks are the inexpensive
+    bound arithmetic (rate values, d_k(1 - rho_k), p_k/4, 7 eps_k), the
+    directional comparisons, and for thm2 the re-derived llt-ratio and clt
+    values, including the rational b_n bracket (a few milliseconds).
     """
     try:
         with open(ndjson_path) as fh:
@@ -398,8 +404,13 @@ def verify_certificate(ndjson_path: str) -> list[str]:
             raise BoundMismatch(
                 f"expected {expected} probe records, found {len(probes_recs)}"
             )
-        for rec in probes_recs:
-            _recheck_bound(rec, variant, sched_rec, rate, n, checks)
+        try:
+            for rec in probes_recs:
+                _recheck_bound(rec, variant, sched_rec, rate, n, checks)
+            if variant == "thm2":
+                _recheck_density_values(probes_recs, sched_rec, checks)
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ParseError(f"malformed certificate record: {exc!r}") from exc
     else:
         if len(probes_recs) != expected_probe_count(variant, header["K"]):
             raise BoundMismatch("wrong baseline probe count")
@@ -457,6 +468,53 @@ def _recheck_bound(rec, variant, sched, rate, n, checks):
                 if b_val > cap:
                     raise BoundMismatch(f"mixing beta(m_{i}) > 7 eps_{i}")
             checks.append(f"mixing: beta(m_k) <= 7 eps_k for k < {len(seven)}")
+
+
+def _recheck_density_values(probes_recs, sched, checks):
+    """Re-derive each thm2 llt-ratio value from b_n, and each clt value from it.
+
+    llt-ratio: tilde_tower_mass = (H_k - n_k + 1) p_k / H_k, (b_n, b_error)
+    equal to root_n_interval_probability(n_k), value = tilde_tower_mass
+    (b_n - b_error) / rho_k.  clt: ratio_lower = llt-ratio value - error and
+    value = (ratio_lower / 2 - phi(0)) rho_k.  An exact label needs
+    b_method "exact-rational".
+    """
+    ratio = {}
+    for rec in probes_recs:
+        if rec["name"] != "llt-ratio":
+            continue
+        k, det = rec["index"], rec["details"]
+        n, H, p, rho = sched["n"][k], sched["H"][k], sched["p"][k], sched["rho"][k]
+        if rec["method"].startswith("exact") and det["b_method"] != "exact-rational":
+            raise BoundMismatch(
+                f"llt-ratio[k={k}] is labelled {rec['method']} on b_method {det['b_method']!r}")
+        g_frac = (H - n + 1) * p / H
+        if not _close(det["tilde_tower_mass"], g_frac):
+            raise BoundMismatch(f"llt-ratio[k={k}] tilde_tower_mass != (H-n+1)p/H = {g_frac}")
+        b = root_n_interval_probability(n)
+        if (det["b_n"], det["b_error"]) != (b.value, b.error):
+            raise BoundMismatch(
+                f"llt-ratio[k={k}] b_n = {det['b_n']} +- {det['b_error']}, "
+                f"the rational bracket gives {b.value} +- {b.error}")
+        want = g_frac * b.lower / rho
+        if not _close(rec["value"], want):
+            raise BoundMismatch(f"llt-ratio[k={k}] value {rec['value']} != {want}")
+        ratio[k] = rec
+        checks.append(f"llt-ratio[k={k}]: b_{n}={b.value:.12g} and value={want:.6g} re-derived")
+    for rec in probes_recs:
+        if rec["name"] != "clt":
+            continue
+        k, det = rec["index"], rec["details"]
+        if k not in ratio:
+            raise BoundMismatch(f"clt[k={k}] has no llt-ratio record to rest on")
+        r_lower = ratio[k]["value"] - ratio[k]["error"]
+        rho = sched["rho"][k]
+        if not (_close(det["ratio_lower"], r_lower) and _close(det["rho_k"], rho)):
+            raise BoundMismatch(f"clt[k={k}] ratio_lower or rho_k disagrees with llt-ratio[k={k}]")
+        want = (r_lower / 2.0 - pr.PHI0) * rho
+        if not _close(rec["value"], want):
+            raise BoundMismatch(f"clt[k={k}] value {rec['value']} != (R/2 - phi(0)) rho = {want}")
+        checks.append(f"clt[k={k}]: value={want:.6g} re-derived from llt-ratio")
 
 
 def _recheck_direction(rec, checks):

@@ -8,6 +8,7 @@ decomposition (interval probabilities); they are pinned here as constants.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,8 +31,11 @@ from slowclt.distributions import (
     TWO_INTERVAL_VARIANCE,
     _interval_probability_grid,
     lattice_sum_by_path_enumeration,
+    root_n_interval_bracket,
+    root_n_interval_probability,
     sample_partial_sums,
     sample_two_interval,
+    two_interval_sum_probability,
 )
 
 # Phi(x) frozen from a 25-digit computation
@@ -190,6 +194,59 @@ class TestIntervalProbability:
         assert np.all((np.abs(x) >= 0.5) & (np.abs(x) <= 1.0))
         assert abs(x.mean()) < 0.005
         assert abs(x.var() - TWO_INTERVAL_VARIANCE) < 0.005
+
+
+class TestRootNIntervalProbability:
+    """b_n = P(|g_1 + ... + g_n| <= sqrt(n)) through the Binomial x Irwin-Hall form."""
+
+    def test_b4_is_41_over_48(self):
+        assert two_interval_sum_probability(4, 2) == Fraction(41, 48)
+        assert root_n_interval_bracket(4) == (Fraction(41, 48), Fraction(41, 48))
+        assert root_n_interval_probability(4).method == "exact-rational"
+
+    def test_n1_is_certain(self):
+        # |g| <= 1 always
+        assert root_n_interval_bracket(1) == (1, 1)
+        assert root_n_interval_probability(1).value == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_grid(self, n):
+        # target 1e-5: at 1e-7 the grid needs 8e7 (n=2) or 1.8e8 (n=3) cells,
+        # past its default budget, and the call falls back to Monte Carlo
+        grid = interval_probability([1.0] * n, math.sqrt(n), target_error=1e-5)
+        assert grid.method == "grid"
+        lo, hi = root_n_interval_bracket(n)
+        assert abs(grid.value - float(lo)) <= grid.error
+        assert abs(grid.value - float(hi)) <= grid.error
+
+    def test_n7_inside_monte_carlo_radius(self):
+        mc = interval_probability([1.0] * 7, math.sqrt(7), cell_budget=0,
+                                  mc_reps=10**5, seed=5)
+        assert mc.method == "monte-carlo"
+        lo, hi = root_n_interval_bracket(7)
+        assert abs(mc.value - float(lo)) <= mc.error
+        assert 0 < hi - lo < Fraction(1, 10**19)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 13, 25, 50, 100])
+    def test_float_interval_contains_bracket(self, n):
+        lo, hi = root_n_interval_bracket(n)
+        b = root_n_interval_probability(n)
+        assert Fraction(b.value) <= lo
+        assert Fraction(b.value) + Fraction(b.error) >= hi
+        assert b.lower <= b.value and b.error < 1e-15
+
+    def test_monotone_in_u(self):
+        vals = [two_interval_sum_probability(5, Fraction(i, 4)) for i in range(0, 22)]
+        assert vals[0] == 0 and vals[-1] == 1
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            two_interval_sum_probability(0, 1)
+        with pytest.raises(ValueError):
+            two_interval_sum_probability(3, Fraction(-1, 2))
+        with pytest.raises(ValueError):
+            root_n_interval_bracket(0)
 
 
 class TestKolmogorovDistance:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slowclt import (
+    BudgetExceeded,
     EvenIndex,
     LatticeDistribution,
     LatticeMismatch,
@@ -24,6 +25,7 @@ from slowclt import (
     mds_conditional_mean_test,
     mixing_probe,
     mixing_profile,
+    sample_trajectory_batch,
 )
 from slowclt.construction import (
     LatticeNoise,
@@ -31,7 +33,7 @@ from slowclt.construction import (
     derive_schedule_thm3,
     tower_chain_system,
 )
-from slowclt.probes import ProbeResult, variance_probe
+from slowclt.probes import ProbeResult, _mds_bin_index, variance_probe
 
 DESK_THM3 = RateSequence.power_law(0.25, 0.5)
 
@@ -93,9 +95,10 @@ class TestDensityProbes:
 
     def test_ratio_probe_beats_l(self, thm2):
         s, m = thm2
-        r = llt_probe_density(m, s, 1, b_target_error=1e-5)
+        r = llt_probe_density(m, s, 1)
         assert r.passed and r.value >= 4.0
-        assert r.details["b_method"] == "grid"
+        assert r.details["b_method"] == "exact-rational"
+        assert r.details["b_n"] == 41 / 48
         # the certified ratio also exceeds the LLT prediction 2*phi(0)
         assert r.value > r.details["llt_reference_ratio"]
 
@@ -106,12 +109,12 @@ class TestDensityProbes:
 
     def test_monte_carlo_cross_check(self, thm2):
         s, m = thm2
-        r = llt_probe_density(m, s, 1, mc_reps=200_000, seed=4, b_target_error=1e-5)
+        r = llt_probe_density(m, s, 1, mc_reps=200_000, seed=4)
         assert r.details["mc_consistent"]
 
     def test_clt_probe_uses_ratio(self, thm2):
         s, m = thm2
-        ratio = llt_probe_density(m, s, 1, b_target_error=1e-5)
+        ratio = llt_probe_density(m, s, 1)
         r = clt_probe(m, s, 1, ratio=ratio)
         assert r.passed
         assert r.method == "exact-lower-bound"
@@ -147,6 +150,24 @@ class TestMdsConditionalMean:
         r = mds_conditional_mean_test(m, 3, reps=150_000, seed=2)
         assert r.method == "monte-carlo"
         assert r.passed
+
+    def test_bin_index_equals_row_unique(self):
+        # the mixed-radix key numbers bins exactly as np.unique(axis=0) does
+        s = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 12)
+        m = build_counterexample(s)
+        window, reps = 3, 50_000
+        towers, _ = sample_trajectory_batch(m.system, 0, window, reps)
+        g = m.noise.sample(np.random.default_rng(0), (reps, window))
+        got = _mds_bin_index(towers, g, 1, len(m.system.towers))
+        rows = np.concatenate([towers, np.sign(g[:, [0, 2]]).astype(np.int64) + 1], axis=1)
+        want = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(got, want)
+
+    def test_bin_key_overflow_raises(self):
+        towers = np.zeros((4, 30), dtype=np.int64)
+        g = np.ones((4, 30))
+        with pytest.raises(BudgetExceeded):
+            _mds_bin_index(towers, g, 15, 1000)
 
     def test_monte_carlo_control_process_fails(self):
         m = small_model()

@@ -177,6 +177,103 @@ class TestWriteAndVerify:
             verify_certificate(str(bad))
 
 
+class TestLatticeLawOnce:
+    def test_one_law_per_k(self, monkeypatch):
+        import slowclt.probes
+        import slowclt.reporting
+
+        calls = []
+        real = slowclt.reporting.lattice_sum_distribution
+
+        def counting(model, n, *args, **kwargs):
+            calls.append(n)
+            return real(model, n, *args, **kwargs)
+
+        monkeypatch.setattr(slowclt.reporting, "lattice_sum_distribution", counting)
+        monkeypatch.setattr(slowclt.probes, "lattice_sum_distribution", counting)
+        bundle = run_experiment(desk_config(seed=7))
+        assert calls == [16, 64, 256]
+        assert bundle.all_passed
+
+
+@pytest.fixture(scope="module")
+def thm2_certificate(tmp_path_factory):
+    cfg = desk_config(variant="thm2", rate={"family": "power-law", "c": 0.05, "beta": 1.0},
+                      K=4)
+    path = write_report(run_experiment(cfg), str(tmp_path_factory.mktemp("thm2")))["ndjson"]
+    return open(path).read().splitlines()
+
+
+def _mutate(lines, name, k, change):
+    out = []
+    for line in lines:
+        rec = json.loads(line)
+        if rec.get("name") == name and rec.get("index") == k:
+            change(rec)
+        out.append(json.dumps(rec, sort_keys=True))
+    return "\n".join(out) + "\n"
+
+
+def _scale(*keys, by=1.0 + 1e-9):
+    def change(rec):
+        *path, last = keys
+        for key in path:
+            rec = rec[key]
+        rec[last] *= by
+    return change
+
+
+def _set(**fields):
+    def change(rec):
+        for key, v in fields.items():
+            if key in rec:
+                rec[key] = v
+            else:
+                rec["details"][key] = v
+    return change
+
+
+# (record name, field perturbation): each must make verify exit 1
+THM2_MUTATIONS = {
+    "ratio value 1e6, b_n 0": ("llt-ratio", _set(value=1e6, b_n=0.0)),
+    "ratio value": ("llt-ratio", _scale("value")),
+    "b_n": ("llt-ratio", _scale("details", "b_n")),
+    "b_error": ("llt-ratio", _scale("details", "b_error", by=2.0)),
+    "tilde_tower_mass": ("llt-ratio", _scale("details", "tilde_tower_mass")),
+    "b_method monte-carlo": ("llt-ratio", _set(b_method="monte-carlo")),
+    "ratio_lower": ("clt", _scale("details", "ratio_lower")),
+    "clt value": ("clt", _scale("value")),
+}
+
+
+class TestThm2Verify:
+    def test_golden_certificate_verifies(self, thm2_certificate, tmp_path):
+        path = tmp_path / "report.ndjson"
+        path.write_text("\n".join(thm2_certificate) + "\n")
+        checks = verify_certificate(str(path))
+        assert sum("re-derived" in c for c in checks) == 4  # llt-ratio and clt at k = 1, 3
+        for line in thm2_certificate:
+            rec = json.loads(line)
+            if rec.get("name") == "llt-ratio":
+                assert rec["details"]["b_method"] == "exact-rational"
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("what", sorted(THM2_MUTATIONS))
+    def test_mutation_exits_1(self, thm2_certificate, tmp_path, capsys, what, k):
+        name, change = THM2_MUTATIONS[what]
+        path = tmp_path / "tampered.ndjson"
+        path.write_text(_mutate(thm2_certificate, name, k, change))
+        assert main(["verify", str(path)]) == 1
+
+    def test_missing_detail_is_parse_error(self, thm2_certificate, tmp_path):
+        def drop(rec):
+            del rec["details"]["b_n"]
+        path = tmp_path / "tampered.ndjson"
+        path.write_text(_mutate(thm2_certificate, "llt-ratio", 1, drop))
+        with pytest.raises(ParseError):
+            verify_certificate(str(path))
+
+
 class TestCli:
     def test_schedule_subcommand(self, capsys):
         rc = main(["schedule", "--variant", "thm1", "--K", "2"])
