@@ -19,9 +19,7 @@ from .construction import (
     derive_schedule_thm1,
     derive_schedule_thm2,
     derive_schedule_thm3,
-    evaluate_f,
     intersection_lower_bound,
-    variance_of_f,
 )
 from .distributions import (
     IntervalProbability,

@@ -21,7 +21,7 @@ from .errors import (
     ScheduleInfeasible,
     VariantMismatch,
 )
-from .towers import TowerSpec, TowerState, TowerSystem, build_tower_system
+from .towers import TowerSpec, TowerSystem, build_tower_system
 
 DEFAULT_SEARCH_CAP = 10**7
 
@@ -370,17 +370,6 @@ class ProcessModel:
         """Measure of the zero-weight set A."""
         pi = self.system.stationary_array()
         return float(pi[self.weight == 0.0].sum())
-
-    def evaluate_f(self, s: TowerState, g: float) -> float:
-        return float(self.weight[self.system.state_index(s)]) * g
-
-
-def evaluate_f(model: ProcessModel, s: TowerState, g: float) -> float:
-    return model.evaluate_f(s, g)
-
-
-def variance_of_f(model: ProcessModel) -> float:
-    return model.sigma2
 
 
 def build_counterexample(sched: Schedule, noise=None) -> ProcessModel:

@@ -10,14 +10,15 @@ independent convolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, VariantMismatch, WindowTooLarge
-from .towers import occupancy_distribution, sample_trajectory_batch
+from .towers import enumerate_paths, occupancy_distribution, sample_trajectory_batch
 
 NORMALIZATION_TOL = 1e-12
 
@@ -174,34 +175,16 @@ def lattice_sum_distribution(model, n: int, op_budget: int = 10**9) -> LatticeDi
 
 
 def lattice_sum_by_path_enumeration(model, n: int) -> LatticeDistribution:
-    """Brute-force oracle: enumerate trajectories and noise outcomes."""
-    sys = model.system
+    """Brute-force oracle: every path of enumerate_paths times every noise outcome."""
     a = model.noise.a
-    noise_vals = [-1, 0, 1]
-    noise_probs = [a / 2.0, 1.0 - a, a / 2.0]
+    noise = [(v, p) for v, p in ((-1, a / 2.0), (0, 1.0 - a), (1, a / 2.0)) if p > 0.0]
+    outcomes = list(itertools.product(noise, repeat=n))
+    values = np.array([[v for v, _ in o] for o in outcomes], dtype=float)
+    weights = np.array([math.prod(p for _, p in o) for o in outcomes])
     probs = np.zeros(2 * n + 1)
-    pi = sys.stationary_array()
-
-    def walk(tower, level, step, total, prob):
-        w = model.weight[sys.offsets[tower] + level]
-        for gv, gp in zip(noise_vals, noise_probs):
-            if gp == 0.0:
-                continue
-            t2 = total + w * gv
-            p2 = prob * gp
-            if step + 1 == n:
-                probs[int(round(t2)) + n] += p2
-            elif level < sys.heights[tower] - 1:
-                walk(tower, level + 1, step + 1, t2, p2)
-            else:
-                for d in range(len(sys.towers)):
-                    pd = sys.top_transition[tower, d]
-                    if pd > 0.0:
-                        walk(d, 0, step + 1, t2, p2 * pd)
-
-    for l in range(len(sys.towers)):
-        for j in range(int(sys.heights[l])):
-            walk(l, j, 0, 0.0, pi[sys.offsets[l] + j])
+    for path, prob in enumerate_paths(model.system, n):
+        totals = np.rint(values @ model.weight[list(path)]).astype(int)
+        np.add.at(probs, totals + n, prob * weights)
     return LatticeDistribution(offset=-n, probs=probs)
 
 
@@ -223,16 +206,13 @@ def interval_probability(
     u: float,
     target_error: float = 1e-6,
     cell_budget: int = 1 << 26,
-    mc_reps: Optional[int] = 10**6,
-    seed: int = 0,
 ) -> IntervalProbability:
     """P(sum_j c_j g_j in [-u, u]) for i.i.d. two-interval-uniform noise.
 
     The grid path quantizes each factor to exact cell masses; Kolmogorov
     distance is subadditive under independent convolution, so the certified
     error is sum_j step/(2 c_j) per CDF endpoint, i.e. twice that in total.
-    Falls back to Monte Carlo (with a 4-sigma confidence radius) when the
-    grid would exceed the cell budget.
+    Raises BudgetExceeded when the grid would exceed the cell budget.
     """
     cs = [float(c) for c in coefficients if c > 0.0]
     if u < 0:
@@ -248,13 +228,9 @@ def interval_probability(
     step = target_error / inv_sum  # total error = 2 * sum step/(2 c_j)
     width = 2.0 * sum(cs) + 4.0 * step
     ncells = int(math.ceil(width / step))
-    if ncells <= cell_budget:
-        return _interval_probability_grid(cs, u, step)
-    if mc_reps is not None:
-        return _interval_probability_mc(cs, u, mc_reps, seed)
-    raise BudgetExceeded(
-        f"grid needs {ncells} cells (budget {cell_budget}) and Monte Carlo disabled"
-    )
+    if ncells > cell_budget:
+        raise BudgetExceeded(f"grid needs {ncells} cells, budget is {cell_budget}")
+    return _interval_probability_grid(cs, u, step)
 
 
 def _irwin_hall_cdf_scaled(n: int, X: int, Q: int) -> int:
@@ -391,26 +367,6 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fa *= np.fft.rfft(b, size)
     out = np.fft.irfft(fa, size)[:n]
     return out
-
-
-def sample_two_interval(rng: np.random.Generator, size) -> np.ndarray:
-    mag = rng.uniform(0.5, 1.0, size=size)
-    sign = rng.integers(0, 2, size=size) * 2 - 1
-    return mag * sign
-
-
-def _interval_probability_mc(cs, u, reps, seed) -> IntervalProbability:
-    hits = 0
-    block = 1 << 16
-    for b0 in range(0, reps, block):
-        m = min(block, reps - b0)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), b0 // block]))
-        g = sample_two_interval(rng, (m, len(cs)))
-        x = g @ np.asarray(cs)
-        hits += int(np.sum(np.abs(x) <= u))
-    p = hits / reps
-    se = math.sqrt(max(p * (1 - p), 1.0 / reps) / reps)
-    return IntervalProbability(p, 4.0 * se, "monte-carlo")
 
 
 def kolmogorov_distance(dist: LatticeDistribution, sigma: float, n: int) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .distributions import (
     sample_partial_sums,
 )
 from .errors import BudgetExceeded, EvenIndex, LatticeMismatch, VariantMismatch
-from .towers import TowerSystem, sample_trajectory_batch
+from .towers import TowerSystem, enumerate_paths, sample_trajectory_batch
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
 
@@ -203,31 +203,6 @@ def variance_probe(model: ProcessModel) -> ProbeResult:
 # -- strong-MDS tests ------------------------------------------------------
 
 
-def _enumerate_windows(model: ProcessModel, window: int):
-    """Yield (trajectory tuple of state indices, probability), all paths."""
-    sys = model.system
-    pi = sys.stationary_array()
-    stack = []
-
-    def walk(tower, level, path, prob):
-        path = path + (sys.offsets[tower] + level,)
-        if len(path) == window:
-            stack.append((path, prob))
-            return
-        if level < sys.heights[tower] - 1:
-            walk(tower, level + 1, path, prob)
-        else:
-            for d in range(len(sys.towers)):
-                p = sys.top_transition[tower, d]
-                if p > 0.0:
-                    walk(d, 0, path, prob * p)
-
-    for l in range(len(sys.towers)):
-        for j in range(int(sys.heights[l])):
-            walk(l, j, (), pi[sys.offsets[l] + j])
-    return stack
-
-
 def mds_conditional_mean_test(
     model: ProcessModel,
     window: int,
@@ -273,7 +248,7 @@ def _noise_support(model):
 
 def _mds_exact(model, window, j, filter_coeff) -> float:
     support = _noise_support(model)
-    paths = _enumerate_windows(model, window)
+    paths = enumerate_paths(model.system, window)
     bins: dict[tuple, list[float]] = {}
     import itertools
 
@@ -374,7 +349,7 @@ def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
         a0, b0 = sys.offsets[l], sys.offsets[l + 1]
         nxt = np.empty(b0 - a0)
         nxt[:-1] = w2[a0 + 1 : b0]
-        nxt[-1] = float(np.dot(sys.top_transition[l], w2[sys.offsets[:-1]]))
+        nxt[-1] = float(np.dot(sys.landing, w2[sys.offsets[:-1]]))
         worst = min(worst, float(nxt.min()))
     value = model.noise.variance * worst
     return ProbeResult(
@@ -386,122 +361,117 @@ def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
 
 # -- mixing ---------------------------------------------------------------
 
+LAG_CAP = 1 << 21  # largest lag the mixing search scans
 
-class _ChainAnalyzer:
-    """Exact beta-mixing of the tower chain via its renewal structure.
 
-    From (tower l, level j) the chain is deterministic for H_l - 1 - j
-    steps; afterwards its law equals the post-landing flow started from
-    tower l's top row.  Evolving each distinct flow once gives every row of
-    every matrix power.
+def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (m0, beta(m0 + i) for i < len(chunk)) for m0 = 0, then onward.
+
+    The landing row r does not depend on the tower left, so after a landing
+    the chain's law is fixed by the renewal sequence (Feller, An Introduction
+    to Probability Theory, Vol. I, ch. XIII) u(0) = 1, u(t) =
+    sum_d r_d u(t - H_d), u(t < 0) = 0: at age a the state is (d, i) with
+    probability r_d u(a - i), and pi(d, i) = r_d / mu with mu = sum r_d H_d.
+    So TV_a = TV(law at age a, pi) = 1/2 sum_d r_d sum_{a-H_d < s <= a}
+    |u(s) - 1/mu|, and with lambda_l the level mass of tower l
+
+        beta(m) = sum_l lambda_l [max(0, H_l - m)(1 - lambda_l)
+                                  + sum_{m-H_l <= a < m} TV_a],  TV_{a<0} = 0.
+
+    u is computed in blocks of min(H), since each block depends only on
+    earlier ones; the prefix sums of |u - 1/mu| and of TV restart at each
+    chunk, and only the last max(H) values of u and TV are carried over.
     """
+    H = sys.heights
+    lam = sys.stationary_array()[sys.offsets[:-1]]
+    r = sys.landing
+    inv_mu = 1.0 / float(np.dot(r, H))
+    W, B = int(H.max()), int(H.min())
+    # lags per chunk: at least max(H), so the carried history fits, and at
+    # least 1024, so short towers do not cost a numpy call per few lags
+    C = max(W, 1024)
+    u = np.zeros(W + C)  # times m0 - W .. m0 + C - 1
+    tv = np.zeros(W + C)  # ages m0 - W .. m0 + C - 1
+    u[W] = 1.0
+    ages = np.arange(C)
+    m0 = 0
+    while True:
+        for t0 in range(W, W + C, B):
+            t1 = min(t0 + B, W + C)
+            for rd, hd in zip(r, H):
+                u[t0:t1] += rd * u[t0 - hd : t1 - hd]
+        err = np.concatenate([[0.0], np.cumsum(np.abs(u - inv_mu))])
+        tv[W:] = 0.0
+        for rd, hd in zip(r, H):
+            tv[W:] += rd * (err[W + 1 :] - err[W + 1 - hd : W + C + 1 - hd])
+        tv[W:] *= 0.5
+        tail = np.concatenate([[0.0], np.cumsum(tv)])
+        beta = np.zeros(C)
+        for lm, hl in zip(lam, H):
+            deterministic = np.maximum(hl - m0 - ages, 0) * (1.0 - lm)
+            beta += lm * (deterministic + tail[W : W + C] - tail[W - hl : W + C - hl])
+        yield m0, beta
+        m0 += C
+        u[:W], tv[:W] = u[C:], tv[C:]
+        u[W:] = 0.0
 
-    def __init__(self, sys: TowerSystem):
-        self.sys = sys
-        self.pi = sys.stationary_array()
-        rows = [tuple(r) for r in sys.top_transition]
-        self.row_of_tower = []
-        self.flows: list[np.ndarray] = []  # current flow distribution per distinct row
-        self.tv: list[list[float]] = []  # tv[r][m] = TV(flow after m steps, pi)
-        seen: dict[tuple, int] = {}
-        for l, r in enumerate(rows):
-            if r not in seen:
-                seen[r] = len(self.flows)
-                v = np.zeros(sys.n_states)
-                v[sys.offsets[:-1]] = np.asarray(r)
-                self.flows.append(v)
-                self.tv.append([self._tv(v)])
-            self.row_of_tower.append(seen[r])
-        self.steps = 0
 
-    def _tv(self, v: np.ndarray) -> float:
-        return 0.5 * float(np.abs(v - self.pi).sum())
+def _mixing_lags(sys: TowerSystem, eps: Sequence[float]) -> tuple[list[int], list[float]]:
+    """Smallest lags 1 <= m_0 < m_1 < ... <= LAG_CAP with beta(m_k) <= eps_k.
 
-    def extend(self, lag: int):
-        """Advance the landing flows so tv is known for indices < lag."""
-        while self.steps < lag:
-            for r, v in enumerate(self.flows):
-                v2 = self.sys.push_forward(v)
-                self.flows[r] = v2
-                self.tv[r].append(self._tv(v2))
-            self.steps += 1
-
-    def beta(self, lag: int) -> float:
-        """beta(n) = sum_s pi(s) TV(P^n(s, .), pi), exact."""
-        if lag == 0:
-            return 0.5 * float(np.sum(np.abs(1.0 - self.pi) * self.pi)
-                               + np.dot(self.pi, 1.0 - self.pi))
-        self.extend(lag)
-        sys = self.sys
-        total = 0.0
-        for l in range(len(sys.towers)):
-            h = int(sys.heights[l])
-            lm = sys.level_mass(l)
-            tvr = self.tv[self.row_of_tower[l]]
-            # no landing yet: state (l, j) with j + lag <= h - 1
-            j_det = h - lag
-            if j_det > 0:
-                dest = slice(sys.offsets[l] + lag, sys.offsets[l + 1])
-                total += lm * float(np.sum(1.0 - self.pi[dest]))
-            # landed: flow age m = lag - (h - j), for j > h - lag
-            for j in range(max(0, j_det), h):
-                total += lm * tvr[lag - (h - j)]
-        return total
+    One forward scan of the beta stream gives the first such lag; beta is
+    non-increasing in the lag, so it stays <= eps_k at every later lag.
+    Fewer lags than eps are returned when the scan passes LAG_CAP.
+    """
+    lags: list[int] = []
+    betas: list[float] = []
+    for m0, chunk in _beta_chunks(sys):
+        while len(lags) < len(eps):
+            start = max(lags[-1] + 1 if lags else 1, m0) - m0
+            hit = np.flatnonzero(chunk[start : LAG_CAP + 1 - m0] <= eps[len(lags)])
+            if not hit.size:
+                break
+            i = start + int(hit[0])
+            lags.append(m0 + i)
+            betas.append(float(chunk[i]))
+        if len(lags) == len(eps) or m0 + len(chunk) > LAG_CAP:
+            return lags, betas
 
 
 def mixing_profile(sys: TowerSystem, lags: Sequence[int]) -> MixingProfile:
     """Exact beta(n) of the tower chain; alpha(n) <= beta(n) is reported."""
-    chain = _ChainAnalyzer(sys)
-    betas = tuple(chain.beta(int(n)) for n in lags)
+    lags = tuple(int(n) for n in lags)
+    if any(n < 0 for n in lags):
+        raise ValueError("lags must be >= 0")
+    found: dict[int, float] = {}
+    for m0, chunk in _beta_chunks(sys):
+        if m0 > max(lags, default=-1):
+            break
+        found.update({n: float(chunk[n - m0]) for n in lags if m0 <= n < m0 + len(chunk)})
+    betas = tuple(found[n] for n in lags)
     return MixingProfile(
-        lags=tuple(int(n) for n in lags),
+        lags=lags,
         beta=betas,
         alpha_upper=betas,
         aperiodic=sys.is_aperiodic(),
     )
 
 
-def find_mixing_lag(
-    sys: TowerSystem, eps: float, chain: Optional[_ChainAnalyzer] = None,
-    lag_cap: int = 1 << 21, lag_floor: int = 1,
-) -> Optional[int]:
-    """Smallest lag >= lag_floor with beta(lag) <= eps, by doubling + bisection."""
-    chain = chain or _ChainAnalyzer(sys)
-    lo = lag_floor
-    if chain.beta(lo) <= eps:
-        return lo
-    hi = lo
-    while chain.beta(hi) > eps:
-        hi *= 2
-        if hi > lag_cap:
-            return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if chain.beta(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def find_mixing_lag(sys: TowerSystem, eps: float) -> Optional[int]:
+    """Smallest lag in [1, LAG_CAP] with beta(lag) <= eps, or None."""
+    lags, _ = _mixing_lags(sys, [eps])
+    return lags[0] if lags else None
 
 
-def mixing_probe(sys: TowerSystem, sched: Schedule, lag_cap: int = 1 << 21) -> ProbeResult:
+def mixing_probe(sys: TowerSystem, sched: Schedule) -> ProbeResult:
     """For each scheduled k: a lag m_k with beta(m_k) <= eps_k (hence <= 7 eps_k)."""
-    chain = _ChainAnalyzer(sys)
-    worst_ratio = 0.0
-    lags, betas = [], []
-    floor = 1
-    for k, eps in enumerate(sched.eps):
-        m = find_mixing_lag(sys, eps, chain=chain, lag_cap=lag_cap, lag_floor=floor)
-        if m is None:
-            return ProbeResult(
-                name="mixing", index=-1, value=math.inf, bound=1.0, direction="<=",
-                method="exact", details={"failed_at_k": k, "lag_cap": lag_cap},
-            )
-        b = chain.beta(m)
-        lags.append(m)
-        betas.append(b)
-        worst_ratio = max(worst_ratio, b / (7.0 * eps))
-        floor = m + 1
+    lags, betas = _mixing_lags(sys, sched.eps)
+    if len(lags) < len(sched.eps):
+        return ProbeResult(
+            name="mixing", index=-1, value=math.inf, bound=1.0, direction="<=",
+            method="exact", details={"failed_at_k": len(lags), "lag_cap": LAG_CAP},
+        )
+    worst_ratio = max((b / (7.0 * eps) for b, eps in zip(betas, sched.eps)), default=0.0)
     return ProbeResult(
         name="mixing", index=-1, value=worst_ratio, bound=1.0, direction="<=",
         method="exact",

@@ -27,6 +27,7 @@ from .construction import (
     Schedule,
     build_counterexample,
     derive_schedule,
+    tower_chain_system,
 )
 from .distributions import (
     LatticeDistribution,
@@ -147,8 +148,6 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
                                              seed=config.seed)
             )
         else:
-            from .construction import tower_chain_system
-
             results.append(pr.mixing_probe(tower_chain_system(sched), sched))
             results.append(pr.conditional_variance_floor(model, depth=1))
     else:  # thm2
@@ -367,8 +366,10 @@ def verify_certificate(ndjson_path: str) -> list[str]:
     value, bound, or pass flag disagrees with the recomputation.  No
     lattice law or simulation is redone: the checks are the inexpensive
     bound arithmetic (rate values, d_k(1 - rho_k), p_k/4, 7 eps_k), the
-    directional comparisons, and for thm2 the re-derived llt-ratio and clt
-    values, including the rational b_n bracket (a few milliseconds).
+    directional comparisons, for thm2 the re-derived llt-ratio and clt
+    values, including the rational b_n bracket (a few milliseconds), and for
+    thm3 the mixing record re-derived from the schedule's tower chain (a
+    fraction of a second).
     """
     try:
         with open(ndjson_path) as fh:
@@ -409,6 +410,8 @@ def verify_certificate(ndjson_path: str) -> list[str]:
                 _recheck_bound(rec, variant, sched_rec, rate, n, checks)
             if variant == "thm2":
                 _recheck_density_values(probes_recs, sched_rec, checks)
+            if variant == "thm3":
+                _recheck_mixing_values(probes_recs, sched_rec, checks)
         except (KeyError, IndexError, TypeError) as exc:
             raise ParseError(f"malformed certificate record: {exc!r}") from exc
     else:
@@ -515,6 +518,30 @@ def _recheck_density_values(probes_recs, sched, checks):
         if not _close(rec["value"], want):
             raise BoundMismatch(f"clt[k={k}] value {rec['value']} != (R/2 - phi(0)) rho = {want}")
         checks.append(f"clt[k={k}]: value={want:.6g} re-derived from llt-ratio")
+
+
+def _recheck_mixing_values(probes_recs, sched, checks):
+    """Re-derive the thm3 mixing record: rebuild the tower chain from the
+    schedule's H, p, remainder_height and remainder_mass, rerun the lag
+    search, and compare m_lags, beta_at_m, aperiodic and value."""
+    recs = [rec for rec in probes_recs if rec["name"] == "mixing"]
+    if len(recs) != 1:
+        raise BoundMismatch(f"expected one mixing record, found {len(recs)}")
+    rec, det = recs[0], recs[0]["details"]
+    schedule = Schedule(**{f.name: sched[f.name] for f in dataclasses.fields(Schedule)})
+    want = pr.mixing_probe(tower_chain_system(schedule), schedule)
+    if det["m_lags"] != want.details.get("m_lags"):
+        raise BoundMismatch(
+            f"mixing m_lags {det['m_lags']} != re-derived {want.details.get('m_lags')}")
+    betas = want.details["beta_at_m"]
+    if len(det["beta_at_m"]) != len(betas) or any(
+            not _close(a, b) for a, b in zip(det["beta_at_m"], betas)):
+        raise BoundMismatch(f"mixing beta_at_m {det['beta_at_m']} != re-derived {betas}")
+    if det["aperiodic"] != want.details["aperiodic"]:
+        raise BoundMismatch("mixing aperiodic flag disagrees with the tower heights")
+    if not _close(rec["value"], want.value):
+        raise BoundMismatch(f"mixing value {rec['value']} != max beta/(7 eps) = {want.value}")
+    checks.append(f"mixing: m_lags={det['m_lags']} and beta_at_m re-derived")
 
 
 def _recheck_direction(rec, checks):

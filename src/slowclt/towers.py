@@ -1,18 +1,18 @@
 """Finite Rokhlin-tower systems.
 
 A system is a finite family of towers; inside a tower the dynamics climbs
-levels deterministically, and from a top level it jumps to the base of a
-destination tower chosen by that tower's transition row.  The default row
-sends the trajectory to tower ``l`` with probability proportional to the
-base-level measure ``mass_l / height_l``, which makes the level-uniform
-measure stationary.
+levels deterministically, and from any top level it jumps to the base of a
+destination tower drawn from one landing row, which does not depend on the
+tower left.  The row sends the trajectory to tower ``l`` with probability
+proportional to the base-level measure ``mass_l / height_l``, which makes
+the level-uniform measure stationary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,22 +55,22 @@ class OccupancyDistribution:
 
 
 class TowerSystem:
-    """Immutable tower family with a top-to-base transition law."""
+    """Immutable tower family with its landing row.
 
-    def __init__(self, towers: Sequence[TowerSpec], top_transition: np.ndarray):
+    landing[d] is the probability that a trajectory leaving any top level
+    lands on the base of tower d: proportional to the base-level mass
+    mass_d / height_d.
+    """
+
+    def __init__(self, towers: Sequence[TowerSpec]):
         self.towers = tuple(towers)
-        self.top_transition = np.asarray(top_transition, dtype=float)
-        k = len(self.towers)
-        if self.top_transition.shape != (k, k):
-            raise ValueError("top_transition must be a KxK matrix")
         total = sum(t.mass for t in self.towers)
         if abs(total - 1.0) > MASS_TOL:
             raise MassSumError(f"tower masses sum to {total!r}, not 1")
-        rowsums = self.top_transition.sum(axis=1)
-        if np.max(np.abs(rowsums - 1.0)) > MASS_TOL:
-            raise MassSumError("top transition rows must sum to 1")
+        base = np.array([t.mass / t.height for t in self.towers])
+        row = base / base.sum()
         # Renormalize to the internal 1e-12 consistency level.
-        self.top_transition = self.top_transition / rowsums[:, None]
+        self.landing = row / row.sum()
         self._masses = np.array([t.mass for t in self.towers]) / total
         self.heights = np.array([t.height for t in self.towers], dtype=int)
         self.offsets = np.concatenate([[0], np.cumsum(self.heights)])
@@ -120,22 +120,10 @@ class TowerSystem:
 
     def push_forward(self, dist: np.ndarray) -> np.ndarray:
         """One step of the dynamics applied to a flat state distribution."""
-        out = np.zeros_like(dist)
-        top_mass = np.empty(len(self.towers))
-        for l in range(len(self.towers)):
-            a, b = self.offsets[l], self.offsets[l + 1]
-            out[a + 1 : b] = dist[a : b - 1]
-            top_mass[l] = dist[b - 1]
-        landing = top_mass @ self.top_transition
-        out[self.offsets[:-1]] += landing
+        # every state climbs one level; a base receives the mass of all tops
+        out = np.roll(dist, 1)
+        out[self.offsets[:-1]] = dist[self.offsets[1:] - 1].sum() * self.landing
         return out
-
-
-def default_top_transition(specs: Sequence[TowerSpec]) -> np.ndarray:
-    """Destination chosen with probability proportional to base-level mass."""
-    base = np.array([s.mass / s.height for s in specs])
-    row = base / base.sum()
-    return np.tile(row, (len(specs), 1))
 
 
 def build_tower_system(
@@ -148,7 +136,7 @@ def build_tower_system(
         g = math.gcd(*[s.height for s in specs])
         if g > 1:
             raise PeriodicityError(f"gcd of tower heights is {g}, need 1")
-    return TowerSystem(specs, default_top_transition(specs))
+    return TowerSystem(specs)
 
 
 def stationary_measure(sys: TowerSystem) -> dict[TowerState, float]:
@@ -161,8 +149,7 @@ def step_distribution(sys: TowerSystem, s: TowerState) -> dict[TowerState, float
     h = sys.towers[s.tower].height
     if s.level < h - 1:
         return {TowerState(s.tower, s.level + 1): 1.0}
-    row = sys.top_transition[s.tower]
-    return {TowerState(d, 0): float(p) for d, p in enumerate(row) if p > 0.0}
+    return {TowerState(d, 0): float(p) for d, p in enumerate(sys.landing) if p > 0.0}
 
 
 def sample_trajectory(
@@ -188,7 +175,7 @@ def sample_trajectory(
         if state.level < h - 1:
             state = TowerState(state.tower, state.level + 1)
         else:
-            d = int(rng.choice(len(sys.towers), p=sys.top_transition[state.tower]))
+            d = int(rng.choice(len(sys.towers), p=sys.landing))
             state = TowerState(d, 0)
     return out
 
@@ -205,6 +192,7 @@ def sample_trajectory_batch(
     levels = np.empty((reps, n), dtype=np.int32)
     pi = sys.stationary_array()
     heights = sys.heights
+    cum = np.cumsum(sys.landing)
     for b0 in range(0, reps, block):
         b1 = min(b0 + block, reps)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), b0 // block]))
@@ -220,9 +208,8 @@ def sample_trajectory_batch(
             at_top = lv == heights[tw] - 1
             lv = lv + 1
             if np.any(at_top):
-                rows = sys.top_transition[tw[at_top]]
                 u = rng.random(int(at_top.sum()))
-                dest = (rows.cumsum(axis=1) < u[:, None]).sum(axis=1)
+                dest = np.searchsorted(cum, u)
                 tw = tw.copy()
                 tw[at_top] = dest
                 lv[at_top] = 0
@@ -279,8 +266,7 @@ def _occupancy_tall(sys: TowerSystem, act: np.ndarray, n: int) -> np.ndarray:
         for j in range(max(0, h - n + 1), h):
             c1 = int(pref[h] - pref[j])
             r = n - (h - j)  # steps spent in the destination tower
-            for d in range(k):
-                p = sys.top_transition[l, d]
+            for d, p in enumerate(sys.landing):
                 if p <= 0.0:
                     continue
                 c2 = int(prefixes[d][r])
@@ -298,15 +284,10 @@ def _occupancy_dp(sys: TowerSystem, act: np.ndarray, n: int, op_budget: int) -> 
     dp = np.zeros((sys.n_states, n + 1))
     pi = sys.stationary_array()
     dp[np.arange(sys.n_states), act.astype(int)] = pi
+    tops = sys.offsets[1:] - 1
     for _ in range(n - 1):
-        new = np.zeros_like(dp)
-        top_rows = np.empty((len(sys.towers), n + 1))
-        for l in range(len(sys.towers)):
-            a, b = sys.offsets[l], sys.offsets[l + 1]
-            new[a + 1 : b] = dp[a : b - 1]
-            top_rows[l] = dp[b - 1]
-        landing = sys.top_transition.T @ top_rows
-        new[sys.offsets[:-1]] += landing
+        new = np.roll(dp, 1, axis=0)
+        new[sys.offsets[:-1]] = np.outer(sys.landing, dp[tops].sum(axis=0))
         # entering a state adds its own activity to the count
         shifted = np.zeros_like(new)
         shifted[act, 1:] = new[act, :-1]
@@ -315,29 +296,33 @@ def _occupancy_dp(sys: TowerSystem, act: np.ndarray, n: int, op_budget: int) -> 
     return dp.sum(axis=0)
 
 
-def occupancy_by_path_enumeration(
-    sys: TowerSystem, active, n: int
-) -> np.ndarray:
-    """Brute-force oracle: enumerate every (start, branch-sequence) path."""
+def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Brute-force oracle: every length-n path of flat state indices from a
+    stationary start, with its probability."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pi = sys.stationary_array()
+    tops = set((sys.offsets[1:] - 1).tolist())
+    bases = sys.offsets[:-1].tolist()
+
+    def extend(path, prob):
+        if len(path) == n:
+            yield path, prob
+        elif path[-1] in tops:
+            for b, p in zip(bases, sys.landing):
+                if p > 0.0:
+                    yield from extend(path + (b,), prob * p)
+        else:
+            yield from extend(path + (path[-1] + 1,), prob)
+
+    for s in range(sys.n_states):
+        yield from extend((s,), pi[s])
+
+
+def occupancy_by_path_enumeration(sys: TowerSystem, active, n: int) -> np.ndarray:
+    """Brute-force oracle: the occupancy law summed over enumerate_paths."""
     act = _active_array(sys, active)
     occ = np.zeros(n + 1)
-    pi = sys.stationary_array()
-
-    def walk(tower: int, level: int, step: int, count: int, prob: float):
-        count += int(act[sys.offsets[tower] + level])
-        step += 1
-        if step == n:
-            occ[count] += prob
-            return
-        if level < sys.heights[tower] - 1:
-            walk(tower, level + 1, step, count, prob)
-        else:
-            for d in range(len(sys.towers)):
-                p = sys.top_transition[tower, d]
-                if p > 0.0:
-                    walk(d, 0, step, count, prob * p)
-
-    for l in range(len(sys.towers)):
-        for j in range(int(sys.heights[l])):
-            walk(l, j, 0, 0, pi[sys.offsets[l] + j])
+    for path, prob in enumerate_paths(sys, n):
+        occ[int(act[list(path)].sum())] += prob
     return occ

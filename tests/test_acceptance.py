@@ -31,11 +31,13 @@ from slowclt import (
     symmetric_step_sum,
     write_report,
 )
-from slowclt.construction import LatticeNoise, ProcessModel, tower_chain_system
-from slowclt.distributions import (
-    lattice_sum_by_path_enumeration,
-    sample_two_interval,
+from slowclt.construction import (
+    LatticeNoise,
+    ProcessModel,
+    TwoIntervalUniformNoise,
+    tower_chain_system,
 )
+from slowclt.distributions import lattice_sum_by_path_enumeration
 from slowclt.reporting import ExperimentConfig
 
 THM1_RATE = RateSequence.power_law(0.5, 0.5)
@@ -158,7 +160,7 @@ def test_criterion_06_thm2_ratio_probe(thm2):
     # independent Monte Carlo estimate of the same interval probability
     rng = np.random.default_rng(np.random.SeedSequence([2024, 6]))
     reps = 10**6
-    g = sample_two_interval(rng, (reps, n))
+    g = TwoIntervalUniformNoise().sample(rng, (reps, n))
     est = float(np.mean(np.abs(g.sum(axis=1)) <= math.sqrt(n)))
     se = math.sqrt(est * (1.0 - est) / reps)
     assert abs(est - b.value) <= 4.0 * se + b.error

@@ -26,7 +26,7 @@ from slowclt import (
     normal_cdf,
     symmetric_step_sum,
 )
-from slowclt.construction import LatticeNoise, ProcessModel
+from slowclt.construction import LatticeNoise, ProcessModel, TwoIntervalUniformNoise
 from slowclt.distributions import (
     TWO_INTERVAL_VARIANCE,
     _interval_probability_grid,
@@ -34,7 +34,6 @@ from slowclt.distributions import (
     root_n_interval_bracket,
     root_n_interval_probability,
     sample_partial_sums,
-    sample_two_interval,
     two_interval_sum_probability,
 )
 
@@ -178,19 +177,21 @@ class TestIntervalProbability:
     def test_monte_carlo_agrees_with_grid(self):
         cs, u = [1.0, 1.0, 1.0], 1.2
         grid = interval_probability(cs, u, target_error=1e-6)
-        mc = interval_probability(cs, u, cell_budget=0, mc_reps=10**6, seed=3)
-        assert mc.method == "monte-carlo"
-        assert abs(mc.value - grid.value) <= mc.error + grid.error
+        reps = 10**6
+        g = TwoIntervalUniformNoise().sample(np.random.default_rng(3), (reps, len(cs)))
+        est = float(np.mean(np.abs(g @ np.array(cs)) <= u))
+        radius = 4.0 * math.sqrt(max(est * (1.0 - est), 1.0 / reps) / reps)
+        assert abs(est - grid.value) <= radius + grid.error
 
     def test_budget_exceeded_without_fallback(self):
         from slowclt import BudgetExceeded
 
         with pytest.raises(BudgetExceeded):
-            interval_probability([1.0] * 4, 1.0, cell_budget=0, mc_reps=None)
+            interval_probability([1.0] * 4, 1.0, cell_budget=0)
 
     def test_two_interval_sampler_moments(self):
         rng = np.random.default_rng(0)
-        x = sample_two_interval(rng, 200_000)
+        x = TwoIntervalUniformNoise().sample(rng, 200_000)
         assert np.all((np.abs(x) >= 0.5) & (np.abs(x) <= 1.0))
         assert abs(x.mean()) < 0.005
         assert abs(x.var() - TWO_INTERVAL_VARIANCE) < 0.005
@@ -212,7 +213,7 @@ class TestRootNIntervalProbability:
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_grid(self, n):
         # target 1e-5: at 1e-7 the grid needs 8e7 (n=2) or 1.8e8 (n=3) cells,
-        # past its default budget, and the call falls back to Monte Carlo
+        # past its default budget, and the call raises BudgetExceeded
         grid = interval_probability([1.0] * n, math.sqrt(n), target_error=1e-5)
         assert grid.method == "grid"
         lo, hi = root_n_interval_bracket(n)
@@ -220,11 +221,11 @@ class TestRootNIntervalProbability:
         assert abs(grid.value - float(hi)) <= grid.error
 
     def test_n7_inside_monte_carlo_radius(self):
-        mc = interval_probability([1.0] * 7, math.sqrt(7), cell_budget=0,
-                                  mc_reps=10**5, seed=5)
-        assert mc.method == "monte-carlo"
+        reps = 10**5
+        g = TwoIntervalUniformNoise().sample(np.random.default_rng(5), (reps, 7))
+        est = float(np.mean(np.abs(g.sum(axis=1)) <= math.sqrt(7)))
         lo, hi = root_n_interval_bracket(7)
-        assert abs(mc.value - float(lo)) <= mc.error
+        assert abs(est - float(lo)) <= 4.0 * math.sqrt(max(est * (1.0 - est), 1.0 / reps) / reps)
         assert 0 < hi - lo < Fraction(1, 10**19)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 13, 25, 50, 100])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slowclt import (
     BudgetExceeded,
@@ -205,8 +207,8 @@ class TestMixing:
         prof = mixing_profile(sys_, list(range(1, 13)))
         P = np.zeros((5, 5))
         P[0, 1] = P[2, 3] = P[3, 4] = 1.0
-        P[1, [0, 2]] = sys_.top_transition[0]
-        P[4, [0, 2]] = sys_.top_transition[1]
+        P[1, [0, 2]] = sys_.landing
+        P[4, [0, 2]] = sys_.landing
         pi = sys_.stationary_array()
         M = np.eye(5)
         for lag in range(1, 13):
@@ -225,6 +227,41 @@ class TestMixing:
         m = find_mixing_lag(sys_, 1e-3)
         prof = mixing_profile(sys_, [m - 1, m])
         assert prof.beta[0] > 1e-3 >= prof.beta[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.floats(0.05, 1.0)), min_size=1, max_size=4))
+    @example([(1, 0.3), (4, 0.7)])
+    def test_stream_equals_dense_matrix_powers(self, towers):
+        total = sum(w for _, w in towers)
+        sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
+        # lags 0-60, and lags on both sides of the stream's chunk boundaries
+        lags = list(range(61)) + [1023, 1024, 1025, 2049]
+        prof = mixing_profile(sys_, lags)
+        # dense transition matrix: climb one level, or land by the row from a top
+        P = np.zeros((sys_.n_states, sys_.n_states))
+        for s_ in range(sys_.n_states):
+            if s_ + 1 in sys_.offsets:
+                P[s_, sys_.offsets[:-1]] += sys_.landing
+            else:
+                P[s_, s_ + 1] = 1.0
+        pi = sys_.stationary_array()
+        for lag, got in zip(lags, prof.beta):
+            M = np.linalg.matrix_power(P, lag)
+            assert abs(got - float(pi @ (0.5 * np.abs(M - pi).sum(axis=1)))) <= 1e-12
+
+    @pytest.mark.parametrize("K, lags, betas", [
+        (3, [63457, 79887, 96347],
+         [0.04999813414135996, 0.024999611619852903, 0.012499966125398469]),
+        (4, [238302, 298420, 358870, 420031],
+         [0.0499996610671498, 0.024999845727773647, 0.012499933441686088,
+          0.006249955151846262]),
+    ])
+    def test_desk_lags_pinned(self, K, lags, betas):
+        # lags and betas of the push-forward engine the renewal stream replaced
+        s = derive_schedule_thm3(DESK_THM3, K)
+        r = mixing_probe(tower_chain_system(s), s)
+        assert r.details["m_lags"] == lags
+        assert np.max(np.abs(np.array(r.details["beta_at_m"]) - betas)) <= 1e-12
 
     def test_desk_probe_meets_seven_eps(self):
         s = derive_schedule_thm3(DESK_THM3, 3)

@@ -214,13 +214,17 @@ def _mutate(lines, name, k, change):
     return "\n".join(out) + "\n"
 
 
-def _scale(*keys, by=1.0 + 1e-9):
+def _apply(*keys, fn):
     def change(rec):
         *path, last = keys
         for key in path:
             rec = rec[key]
-        rec[last] *= by
+        rec[last] = fn(rec[last])
     return change
+
+
+def _scale(*keys, by=1.0 + 1e-9):
+    return _apply(*keys, fn=lambda v: v * by)
 
 
 def _set(**fields):
@@ -272,6 +276,41 @@ class TestThm2Verify:
         path.write_text(_mutate(thm2_certificate, "llt-ratio", 1, drop))
         with pytest.raises(ParseError):
             verify_certificate(str(path))
+
+
+@pytest.fixture(scope="module")
+def thm3_certificate(tmp_path_factory):
+    cfg = desk_config(variant="thm3", rate={"family": "power-law", "c": 0.25, "beta": 0.5},
+                      K=2)
+    path = write_report(run_experiment(cfg), str(tmp_path_factory.mktemp("thm3")))["ndjson"]
+    return open(path).read().splitlines()
+
+
+# mixing-record perturbations that keep beta(m_k) <= 7 eps_k and the pass
+# flag, so only the re-derivation from the schedule's tower chain sees them
+THM3_MUTATIONS = {
+    "m_0 one larger": _apply("details", "m_lags", 0, fn=lambda m: m + 1),
+    "m_0 one smaller": _apply("details", "m_lags", 0, fn=lambda m: m - 1),
+    "m_1 one larger": _apply("details", "m_lags", 1, fn=lambda m: m + 1),
+    "beta_at_m[0] lowered": _scale("details", "beta_at_m", 0, by=1.0 - 1e-9),
+    "beta_at_m[1] lowered": _scale("details", "beta_at_m", 1, by=1.0 - 1e-9),
+    "value lowered": _scale("value", by=1.0 - 1e-9),
+    "aperiodic flipped": _set(aperiodic=False),
+}
+
+
+class TestThm3Verify:
+    def test_golden_certificate_verifies(self, thm3_certificate, tmp_path):
+        path = tmp_path / "report.ndjson"
+        path.write_text("\n".join(thm3_certificate) + "\n")
+        checks = verify_certificate(str(path))
+        assert sum("re-derived" in c for c in checks) == 1
+
+    @pytest.mark.parametrize("what", sorted(THM3_MUTATIONS))
+    def test_mutation_exits_1(self, thm3_certificate, tmp_path, capsys, what):
+        path = tmp_path / "tampered.ndjson"
+        path.write_text(_mutate(thm3_certificate, "mixing", -1, THM3_MUTATIONS[what]))
+        assert main(["verify", str(path)]) == 1
 
 
 class TestCli:

@@ -84,9 +84,12 @@ class TestStationaryMeasure:
 
     def test_default_top_row_is_source_independent(self):
         sys_ = small_system()
-        assert np.allclose(sys_.top_transition[0], sys_.top_transition[1])
+        # both tops (levels 1 of tower 0 and 2 of tower 1) land by the same row
+        from_0 = step_distribution(sys_, TowerState(0, 1))
+        from_1 = step_distribution(sys_, TowerState(1, 2))
+        assert from_0 == from_1 == {TowerState(d, 0): p for d, p in enumerate(sys_.landing)}
         # row entries proportional to mass/height (base-level masses)
-        row = sys_.top_transition[0]
+        row = sys_.landing
         assert row[0] == pytest.approx(0.2 / 0.4)
         assert row[1] == pytest.approx(0.2 / 0.4)
 
