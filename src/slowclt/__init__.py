@@ -47,7 +47,6 @@ from .errors import (
     ScheduleInfeasible,
     SlowCltError,
     VariantMismatch,
-    WindowTooLarge,
 )
 from .probes import (
     MixingProfile,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, VariantMismatch, WindowTooLarge
+from .errors import BudgetExceeded, VariantMismatch
 from .towers import enumerate_paths, occupancy_distribution, sample_trajectory_batch
 
 NORMALIZATION_TOL = 1e-12
@@ -156,14 +156,14 @@ def step_sum_table(a: float, m_max: int) -> list[np.ndarray]:
     return out
 
 
-def lattice_sum_distribution(model, n: int, op_budget: int = 10**9) -> LatticeDistribution:
+def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
     """Exact law of the n-step partial sum of a lattice model."""
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice_sum_distribution needs a lattice model")
     if n < 1:
         raise ValueError("n must be >= 1")
     active = model.weight > 0.5
-    occ = occupancy_distribution(model.system, active, n, op_budget=op_budget)
+    occ = occupancy_distribution(model.system, active, n)
     table = step_sum_table(model.noise.a, n)
     probs = np.zeros(2 * n + 1)
     for m in range(n + 1):

@@ -18,10 +18,6 @@ class InvalidState(SlowCltError):
     """A tower state lies outside the system's state space."""
 
 
-class WindowTooLarge(SlowCltError):
-    """Exact occupancy DP would exceed the configured operation budget."""
-
-
 # construction
 class ScheduleInfeasible(SlowCltError):
     """No admissible probe times found within the search bound."""
@@ -41,7 +37,8 @@ class DegenerateModel(SlowCltError):
 
 # dist_engine
 class BudgetExceeded(SlowCltError):
-    """Both the grid and Monte Carlo paths are unavailable."""
+    """The grid of interval_probability needs more cells than its budget, or
+    the strong-MDS bin key of probes._mds_bin_index overflows int64."""
 
 
 # diagnostics

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidState, MassSumError, PeriodicityError, WindowTooLarge
+from .errors import InvalidState, MassSumError, PeriodicityError
 
 MASS_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
@@ -229,71 +229,45 @@ def occupancy_distribution(
     sys: TowerSystem,
     active: Callable[[TowerState], bool] | np.ndarray,
     n: int,
-    op_budget: int = 10**9,
 ) -> OccupancyDistribution:
-    """Exact law of m = #{0 <= i < n : state_i active}, stationary start."""
+    """Exact law of m = #{0 <= i < n : state_i active}, stationary start.
+
+    A window is cut at the first tower top it leaves: the part before is read
+    off the start tower's prefix sums, and the r steps after start on a base
+    drawn from the landing row, whatever the tower left, so their count law
+    land[r] is one table for every start.  O(states + K n^2).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     act = _active_array(sys, active)
-    if np.all(sys.heights >= n):
-        probs = _occupancy_tall(sys, act, n)
-    else:
-        probs = _occupancy_dp(sys, act, n, op_budget)
-    probs = np.maximum(probs, 0.0)
-    probs /= probs.sum()
-    return OccupancyDistribution(window=n, probs=probs)
-
-
-def _occupancy_tall(sys: TowerSystem, act: np.ndarray, n: int) -> np.ndarray:
-    # All heights >= n: a window crosses at most one tower top, so the count
-    # is determined by (start state, at most one destination choice).
+    # prefs[d][i] = number of active levels among the first i of tower d
+    prefs = [
+        np.concatenate([[0], np.cumsum(act[a:b], dtype=np.int64)])
+        for a, b in zip(sys.offsets[:-1], sys.offsets[1:])
+    ]
+    heights = sys.heights.tolist()
+    # land[r, c] = P(c active steps among r steps from a landed base)
+    land = np.zeros((n, n + 1))
+    land[0, 0] = 1.0
+    for r in range(1, n):
+        for p, pref, h in zip(sys.landing, prefs, heights):
+            if h >= r:
+                land[r, pref[r]] += p
+            else:
+                # a full pass through the tower, then a fresh landing
+                c = pref[h]
+                land[r, c : c + r - h + 1] += p * land[r - h, : r - h + 1]
     occ = np.zeros(n + 1)
-    k = len(sys.towers)
-    prefixes = []
-    for l in range(k):
-        a, b = sys.offsets[l], sys.offsets[l + 1]
-        prefixes.append(np.concatenate([[0], np.cumsum(act[a:b].astype(np.int64))]))
-    for l in range(k):
-        h = int(sys.heights[l])
+    for l, (pref, h) in enumerate(zip(prefs, heights)):
         w = sys.level_mass(l)
-        pref = prefixes[l]
-        # starts with no crossing: j + n <= h
-        j_max = h - n
-        if j_max >= 0:
-            counts = pref[n : h + 1] - pref[: j_max + 1]
-            np.add.at(occ, counts, np.full(j_max + 1, w))
-        # starts that cross: j in (h - n, h)
+        if h >= n:
+            # starts j <= h - n never reach the top
+            occ += w * np.bincount(pref[n:] - pref[: h - n + 1], minlength=n + 1)
         for j in range(max(0, h - n + 1), h):
-            c1 = int(pref[h] - pref[j])
-            r = n - (h - j)  # steps spent in the destination tower
-            for d, p in enumerate(sys.landing):
-                if p <= 0.0:
-                    continue
-                c2 = int(prefixes[d][r])
-                occ[c1 + c2] += w * p
-    return occ
-
-
-def _occupancy_dp(sys: TowerSystem, act: np.ndarray, n: int, op_budget: int) -> np.ndarray:
-    cost = (n - 1) * sys.n_states * (n + 1)
-    if cost > op_budget:
-        raise WindowTooLarge(
-            f"occupancy DP needs ~{cost:.2e} ops, budget is {op_budget:.2e}"
-        )
-    # dp[s, c] = P(state_i = s, count over steps 0..i equals c)
-    dp = np.zeros((sys.n_states, n + 1))
-    pi = sys.stationary_array()
-    dp[np.arange(sys.n_states), act.astype(int)] = pi
-    tops = sys.offsets[1:] - 1
-    for _ in range(n - 1):
-        new = np.roll(dp, 1, axis=0)
-        new[sys.offsets[:-1]] = np.outer(sys.landing, dp[tops].sum(axis=0))
-        # entering a state adds its own activity to the count
-        shifted = np.zeros_like(new)
-        shifted[act, 1:] = new[act, :-1]
-        shifted[~act] = new[~act]
-        dp = shifted
-    return dp.sum(axis=0)
+            r = n - h + j
+            c = pref[h] - pref[j]
+            occ[c : c + r + 1] += w * land[r, : r + 1]
+    return OccupancyDistribution(window=n, probs=occ / occ.sum())
 
 
 def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...], float]]:

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from slowclt import (
     LatticeDistribution,
+    RateSequence,
     TowerSpec,
     build_counterexample,
     build_tower_system,
+    derive_schedule,
     interval_probability,
     kolmogorov_distance,
     lattice_sum_distribution,
@@ -117,6 +119,13 @@ def tiny_lattice_model(a=0.5):
     return ProcessModel("thm1", sys_, LatticeNoise(a), weight)
 
 
+@pytest.fixture(scope="module")
+def thm1_k5_desk():
+    sched = derive_schedule("thm1", RateSequence.power_law(0.5, 1.0), K=5)
+    assert list(sched.n) == [4, 8, 16, 32, 64]
+    return build_counterexample(sched)
+
+
 class TestLatticeSumDistribution:
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
     def test_equals_path_enumeration(self, n):
@@ -145,6 +154,21 @@ class TestLatticeSumDistribution:
             est = float(np.mean(sums == v))
             se = math.sqrt(max(p * (1 - p), 1e-9) / reps)
             assert abs(est - p) < 5 * se
+
+    @pytest.mark.parametrize("n, p0, kolmogorov", [
+        (4, 0.6516927331686018, 0.32584636658430094),
+        (8, 0.5697184570182504, 0.2848592285091252),
+        (16, 0.4678895153231642, 0.23394475766158207),
+        (32, 0.3113274353614651, 0.15566371768073256),
+        (64, 0.2840637444413082, 0.14203187222065417),
+    ])
+    def test_thm1_k5_desk_pinned(self, thm1_k5_desk, n, p0, kolmogorov):
+        # values of the flat-state DP the landing-time engine replaced
+        # (H_0 = 35 < n_4 = 64, so the last window crosses several tops)
+        d = lattice_sum_distribution(thm1_k5_desk, n)
+        assert d.prob_at(0) == pytest.approx(p0, rel=1e-12)
+        sigma = math.sqrt(thm1_k5_desk.sigma2)
+        assert kolmogorov_distance(d, sigma, n) == pytest.approx(kolmogorov, rel=1e-12)
 
 
 class TestIntervalProbability:

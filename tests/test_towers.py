@@ -110,7 +110,7 @@ class TestOccupancy:
         assert np.allclose(occ.probs, ref, atol=1e-12)
 
     def test_matches_path_enumeration_short_towers(self):
-        # window longer than every height forces the DP
+        # window longer than every height: starts cross several tower tops
         sys_ = small_system()
         active = np.array([True, False, False, True, False])
         for n in (4, 5, 6):
@@ -142,6 +142,27 @@ class TestOccupancy:
         occ = occupancy_distribution(sys_, active, 3)
         mean = float(np.dot(np.arange(4), occ.probs))
         assert mean == pytest.approx(3 * mu_active, abs=1e-12)
+
+    def test_moments_against_push_forward(self):
+        # a window that crosses the short towers' tops many times, on 1e5
+        # states: E[m] = n mu(A), and E[m^2] = n mu(A) + 2 sum_t (n-t)
+        # P(X_0 in A, X_t in A), each joint probability by pushing pi 1_A
+        # forward t steps
+        sys_ = build_tower_system(
+            [TowerSpec(3, 0.2), TowerSpec(7, 0.3), TowerSpec(100_000, 0.5)]
+        )
+        active = np.random.default_rng(5).random(sys_.n_states) < 0.4
+        n = 200
+        occ = occupancy_distribution(sys_, active, n)
+        joint = sys_.stationary_array() * active
+        mu_active = float(joint.sum())
+        second = n * mu_active
+        for t in range(1, n):
+            joint = sys_.push_forward(joint)
+            second += 2 * (n - t) * float(joint[active].sum())
+        m = np.arange(n + 1)
+        assert float(np.dot(m, occ.probs)) == pytest.approx(n * mu_active, rel=1e-12)
+        assert float(np.dot(m * m, occ.probs)) == pytest.approx(second, rel=1e-12)
 
 
 @st.composite
