@@ -5,7 +5,7 @@ Subcommands:
   build     construct the model and print its structural summary
   probe     run a single named probe
   report    run the full probe suite and write report.{txt,ndjson} + curves.csv
-  verify    recheck a written report.ndjson certificate
+  verify    rerun a report.ndjson certificate from its header and compare
 
 Exit codes: 0 on success with all inequalities holding, 1 when a probe or
 certificate check fails, 2 on configuration or usage errors.
@@ -98,8 +98,7 @@ def _cmd_probe(args) -> int:
     elif args.name == "clt":
         res = pr.clt_probe(model, sched, k)
     elif args.name == "mds":
-        res = pr.mds_conditional_mean_test(model, window=3,
-                                           reps=args.mc_reps or 200_000,
+        res = pr.mds_conditional_mean_test(model, window=3, reps=args.mc_reps,
                                            seed=args.seed)
     elif args.name == "mixing":
         from .construction import tower_chain_system
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("verify", help="recheck a report.ndjson certificate")
+    p = sub.add_parser("verify", help="rerun a certificate from its header and compare")
     p.add_argument("certificate", help="path to report.ndjson")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -210,21 +210,27 @@ def mds_conditional_mean_test(
     seed: int = 0,
     filter_coeff: float = 0.0,
 ) -> ProbeResult:
-    """Conditional mean of the middle coordinate given everything else.
+    """Conditional mean of the middle coordinate j = window // 2 given everything else.
 
-    Exact path (small systems, window <= 6): enumerate (trajectory, noise
-    values at the other positions) cylinders and compute the conditional
-    mean of f at the probed position; all must vanish.  Monte Carlo path:
-    bin samples by the same conditioning data and demand every bin mean
-    stay within 4 standard errors of 0.  filter_coeff != 0 replaces f_j by
-    f_j + filter_coeff * f_{j-1}, a deliberately non-MDS control.
+    Exact route (reps <= 0): given the whole path and the other noise values,
+    the mean of f_j is w(x_j) E g + c w(x_{j-1}) g_{j-1}, c = filter_coeff,
+    because the noise factor is independent of the tower factor.  The value
+    is its largest modulus over every positive-probability pair of
+    consecutive states (a level step inside a tower, or a top-to-base
+    landing) and every g_{j-1} in the noise support; all must vanish.  One
+    O(states) pass; _mds_exact is its brute-force oracle.  Monte Carlo route
+    (reps > 0): bin samples by the tower sequence and the signs of the other
+    noise values, and demand every bin mean stay within 4 standard errors of
+    0.  filter_coeff != 0 replaces f_j by f_j + filter_coeff * f_{j-1}, a
+    deliberately non-MDS control.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     j = window // 2
     if reps <= 0:
-        value = _mds_exact(model, window, j, filter_coeff)
         return ProbeResult(
-            name="mds", index=window, value=value, bound=1e-12,
-            direction="<=", method="exact",
+            name="mds", index=window, value=_mds_tower_level(model, j, filter_coeff),
+            bound=1e-12, direction="<=", method="exact",
         )
     value, worst_se, nbins = _mds_mc(model, window, j, reps, seed, filter_coeff)
     return ProbeResult(
@@ -234,19 +240,37 @@ def mds_conditional_mean_test(
     )
 
 
+def _mds_tower_level(model, j, filter_coeff) -> float:
+    """max |w(x_j) E g + c w(x_{j-1}) g_{j-1}| over consecutive states and noise values."""
+    support = _noise_support(model)
+    mean_g = sum(v * p for v, p in support)
+    w = model.weight
+    if not filter_coeff or j == 0:
+        return float(np.abs(w).max()) * abs(mean_g)
+    sys = model.system
+    tops = sys.offsets[1:] - 1
+    bases = sys.offsets[:-1][sys.landing > 0.0]
+    climbs = np.ones(sys.n_states - 1, dtype=bool)
+    climbs[tops[:-1]] = False  # a top is followed by a landed base, not the next state
+    prev = np.concatenate([w[:-1][climbs], np.repeat(w[tops], len(bases))])
+    cur = np.concatenate([w[1:][climbs], np.tile(w[bases], len(tops))])
+    return max(float(np.abs(cur * mean_g + filter_coeff * g * prev).max()) for g, _ in support)
+
+
 def _noise_support(model):
     if model.noise.kind == "lattice":
         a = model.noise.a
         vals = [-1.0, 0.0, 1.0]
         probs = [a / 2.0, 1.0 - a, a / 2.0]
         return [(v, p) for v, p in zip(vals, probs) if p > 0.0]
-    # two-interval noise: conditioning by sign; the conditional mean of f at
-    # the probed position only needs E g = 0, represented by the two signed
-    # conditional means +-3/4.
+    # two-interval noise, conditioned by sign: each sign carries its
+    # conditional mean +-3/4, and E g = 0.
     return [(-0.75, 0.5), (0.75, 0.5)]
 
 
 def _mds_exact(model, window, j, filter_coeff) -> float:
+    """Brute-force oracle of _mds_tower_level: the conditional mean of f_j in
+    every (path, other noise values) cylinder of enumerate_paths."""
     support = _noise_support(model)
     paths = enumerate_paths(model.system, window)
     bins: dict[tuple, list[float]] = {}

@@ -3,9 +3,10 @@
 A run turns a JSON config into three artifacts in the output directory:
 report.txt (human summary), report.ndjson (one record per probe, floats at
 full precision), and curves.csv (per-index values for plotting).  The
-ndjson stream doubles as a certificate: verify_certificate recomputes every
-bound from the recorded schedule and checks each probe line against it
-without rerunning any simulation.
+ndjson stream doubles as a certificate: every record is a deterministic
+function of the header, so verify_certificate reruns the experiment the
+header describes and compares each record with the rerun, field by field,
+after checking each recorded bound against its closed form.
 """
 
 from __future__ import annotations
@@ -29,12 +30,8 @@ from .construction import (
     derive_schedule,
     tower_chain_system,
 )
-from .distributions import (
-    LatticeDistribution,
-    lattice_sum_distribution,
-    root_n_interval_probability,
-)
-from .errors import BoundMismatch, ConfigError, ParseError
+from .distributions import LatticeDistribution, lattice_sum_distribution
+from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
 from . import probes as pr
 
 SCHEMA_VERSION = 1
@@ -142,11 +139,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
             results.append(pr.clt_probe(model, sched, k, dist=dist))
         results.append(pr.variance_probe(model))
         if config.variant == "thm1":
-            results.append(
-                pr.mds_conditional_mean_test(model, window=3,
-                                             reps=config.mc_reps or 200_000,
-                                             seed=config.seed)
-            )
+            results.append(pr.mds_conditional_mean_test(model, window=3))
         else:
             results.append(pr.mixing_probe(tower_chain_system(sched), sched))
             results.append(pr.conditional_variance_floor(model, depth=1))
@@ -161,11 +154,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
             results.append(pr.clt_probe(model, sched, k, ratio=ratio))
         results.append(pr.density_bound_probe(model))
         results.append(pr.variance_probe(model))
-        results.append(
-            pr.mds_conditional_mean_test(model, window=3,
-                                         reps=config.mc_reps or 200_000,
-                                         seed=config.seed)
-        )
+        results.append(pr.mds_conditional_mean_test(model, window=3))
     expected = expected_probe_count(config.variant, sched.K)
     assert len(results) == expected, (len(results), expected)
     summary = {
@@ -250,6 +239,28 @@ def _schedule_record(sched: Schedule) -> dict:
     return _fmt(d)
 
 
+def _records(bundle: ReportBundle) -> list[dict]:
+    """The certificate's records: header, schedule and model (when built), probes."""
+    from . import __version__
+
+    records = [_fmt({
+        "record": "header",
+        "schema_version": SCHEMA_VERSION,
+        "version": __version__,
+        "variant": bundle.config.variant,
+        "K": bundle.config.K,
+        "rate": bundle.config.rate,
+        "seed": bundle.config.seed,
+        "mc_reps": bundle.config.mc_reps,
+        "constants": bundle.config.constants,
+    })]
+    if bundle.schedule is not None:
+        records.append(_schedule_record(bundle.schedule))
+    if bundle.model_summary:
+        records.append(_fmt({"record": "model", **bundle.model_summary}))
+    return records + [_probe_record(r) for r in bundle.results]
+
+
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-report-")
@@ -271,26 +282,7 @@ def write_report(bundle: ReportBundle, out_dir: str) -> dict[str, str]:
         "ndjson": os.path.join(out_dir, "report.ndjson"),
         "csv": os.path.join(out_dir, "curves.csv"),
     }
-    from . import __version__
-
-    lines = [json.dumps(_fmt({
-        "record": "header",
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "variant": bundle.config.variant,
-        "K": bundle.config.K,
-        "rate": bundle.config.rate,
-        "seed": bundle.config.seed,
-        "mc_reps": bundle.config.mc_reps,
-        "constants": bundle.config.constants,
-    }), sort_keys=True)]
-    if bundle.schedule is not None:
-        lines.append(json.dumps(_schedule_record(bundle.schedule), sort_keys=True))
-    if bundle.model_summary:
-        lines.append(json.dumps(_fmt(
-            {"record": "model", **bundle.model_summary}), sort_keys=True))
-    for r in bundle.results:
-        lines.append(json.dumps(_probe_record(r), sort_keys=True))
+    lines = [json.dumps(rec, sort_keys=True) for rec in _records(bundle)]
     _atomic_write(paths["ndjson"], "\n".join(lines) + "\n")
 
     _atomic_write(paths["csv"], _curves_csv(bundle))
@@ -359,67 +351,99 @@ def _text_report(bundle: ReportBundle) -> str:
 
 
 def verify_certificate(ndjson_path: str) -> list[str]:
-    """Recompute every bound from the recorded schedule and recheck the probes.
+    """Rerun the experiment the header describes and compare every record with it.
 
     Returns a list of human-readable check descriptions on success; raises
-    ParseError for malformed input and BoundMismatch when any recorded
-    value, bound, or pass flag disagrees with the recomputation.  No
-    lattice law or simulation is redone: the checks are the inexpensive
-    bound arithmetic (rate values, d_k(1 - rho_k), p_k/4, 7 eps_k), the
-    directional comparisons, for thm2 the re-derived llt-ratio and clt
-    values, including the rational b_n bracket (a few milliseconds), and for
-    thm3 the mixing record re-derived from the schedule's tower chain (a
-    fraction of a second).
+    ParseError for malformed input (including a header that does not
+    describe a run) and BoundMismatch when any record disagrees.  Two kinds
+    of check run on the file itself first: each recorded bound against its
+    closed form from the schedule record (a_{n_k}, a_{n_k}/2, d_k(1 - rho_k),
+    p_k/4, L, 7 eps_k), and each pass flag against its value, bound and
+    direction.  Then run_experiment rebuilds the certificate from the
+    header, and every field of every record must match it: integers,
+    strings, booleans and None exactly, floats within 1e-12 relative.
     """
     try:
         with open(ndjson_path) as fh:
             records = [json.loads(line) for line in fh if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse certificate: {exc}") from exc
-    if not records or records[0].get("record") != "header":
+    if not records or not isinstance(records[0], dict) or records[0].get("record") != "header":
         raise ParseError("first record must be the header")
     header = records[0]
-    variant = header.get("variant")
-    if variant not in _VARIANTS:
-        raise ParseError(f"unknown variant in header: {variant!r}")
-    sched_rec = None
-    probes_recs = []
-    for rec in records[1:]:
-        kind = rec.get("record")
-        if kind == "schedule":
-            sched_rec = rec
-        elif kind == "probe":
-            probes_recs.append(rec)
-        elif kind == "model":
-            pass
-        else:
+    try:
+        config = ExperimentConfig.from_dict(
+            {k: v for k, v in header.items() if k not in ("record", "version")})
+        if config.variant != "iid-baseline":
+            rate = RateSequence.from_descriptor(config.rate)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed certificate header: {exc}") from exc
+    kinds = [rec.get("record") if isinstance(rec, dict) else None for rec in records[1:]]
+    for kind in kinds:
+        if kind not in ("schedule", "model", "probe"):
             raise ParseError(f"unknown record type {kind!r}")
+    probes_recs = [rec for rec in records[1:] if rec["record"] == "probe"]
+    expected = expected_probe_count(config.variant, config.K)
+    if len(probes_recs) != expected:
+        raise BoundMismatch(f"expected {expected} probe records, found {len(probes_recs)}")
     checks: list[str] = []
-    if variant != "iid-baseline":
-        if sched_rec is None:
-            raise ParseError("missing schedule record")
-        rate = RateSequence.from_descriptor(header["rate"])
-        n = sched_rec["n"]
-        expected = expected_probe_count(variant, header["K"])
-        if len(probes_recs) != expected:
-            raise BoundMismatch(
-                f"expected {expected} probe records, found {len(probes_recs)}"
-            )
-        try:
+    try:
+        if config.variant != "iid-baseline":
+            if "schedule" not in kinds:
+                raise ParseError("missing schedule record")
+            sched_rec = records[1 + kinds.index("schedule")]
             for rec in probes_recs:
-                _recheck_bound(rec, variant, sched_rec, rate, n, checks)
-            if variant == "thm2":
-                _recheck_density_values(probes_recs, sched_rec, checks)
-            if variant == "thm3":
-                _recheck_mixing_values(probes_recs, sched_rec, checks)
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ParseError(f"malformed certificate record: {exc!r}") from exc
-    else:
-        if len(probes_recs) != expected_probe_count(variant, header["K"]):
-            raise BoundMismatch("wrong baseline probe count")
-    for rec in probes_recs:
-        _recheck_direction(rec, checks)
+                _recheck_bound(rec, config.variant, sched_rec, rate, sched_rec["n"], checks)
+        for rec in probes_recs:
+            _recheck_direction(rec, checks)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ParseError(f"malformed certificate record: {exc!r}") from exc
+    try:
+        bundle = run_experiment(config)
+    except (SlowCltError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"the header does not describe a run: {exc!r}") from exc
+    want = _records(bundle)
+    if [rec["record"] for rec in want[1:]] != kinds:
+        raise BoundMismatch(f"records {kinds} differ from the rerun's "
+                            f"{[rec['record'] for rec in want[1:]]}")
+    _compare(header, want[0], "header")
+    for got, rec in zip(records[1:], want[1:]):
+        if rec["record"] == "probe":
+            label = f"{rec['name']}[{rec['index']}]"
+            _compare(got, rec, label)
+            checks.append(f"{label}: every field re-derived")
+        else:
+            _compare(got, rec, rec["record"])
+            checks.append(f"{rec['record']} record: every field rebuilt from the header")
     return checks
+
+
+def _compare(got, want, where: str) -> None:
+    """Raise unless got equals want: same keys and lengths, floats within 1e-12
+    relative (inf only equal to inf), every other leaf exactly."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            raise BoundMismatch(f"{where} is {got!r}, the rerun gives an object")
+        missing = sorted(set(want) - set(got))
+        if missing:
+            raise ParseError(f"{where} lacks {missing}")
+        extra = sorted(set(got) - set(want))
+        if extra:
+            raise BoundMismatch(f"{where} has fields {extra} the rerun does not")
+        for key, value in want.items():
+            _compare(got[key], value, f"{where}.{key}")
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            raise BoundMismatch(f"{where} is {got!r}, the rerun gives {want!r}")
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        if not (type(got) is float and (got == want or (
+                math.isfinite(got) and math.isfinite(want)
+                and abs(got - want) <= 1e-12 * max(abs(got), abs(want))))):
+            raise BoundMismatch(f"{where} is {got!r}, the rerun gives {want!r}")
+    elif type(got) is not type(want) or got != want:
+        raise BoundMismatch(f"{where} is {got!r}, the rerun gives {want!r}")
 
 
 def _close(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -471,77 +495,6 @@ def _recheck_bound(rec, variant, sched, rate, n, checks):
                 if b_val > cap:
                     raise BoundMismatch(f"mixing beta(m_{i}) > 7 eps_{i}")
             checks.append(f"mixing: beta(m_k) <= 7 eps_k for k < {len(seven)}")
-
-
-def _recheck_density_values(probes_recs, sched, checks):
-    """Re-derive each thm2 llt-ratio value from b_n, and each clt value from it.
-
-    llt-ratio: tilde_tower_mass = (H_k - n_k + 1) p_k / H_k, (b_n, b_error)
-    equal to root_n_interval_probability(n_k), value = tilde_tower_mass
-    (b_n - b_error) / rho_k.  clt: ratio_lower = llt-ratio value - error and
-    value = (ratio_lower / 2 - phi(0)) rho_k.  An exact label needs
-    b_method "exact-rational".
-    """
-    ratio = {}
-    for rec in probes_recs:
-        if rec["name"] != "llt-ratio":
-            continue
-        k, det = rec["index"], rec["details"]
-        n, H, p, rho = sched["n"][k], sched["H"][k], sched["p"][k], sched["rho"][k]
-        if rec["method"].startswith("exact") and det["b_method"] != "exact-rational":
-            raise BoundMismatch(
-                f"llt-ratio[k={k}] is labelled {rec['method']} on b_method {det['b_method']!r}")
-        g_frac = (H - n + 1) * p / H
-        if not _close(det["tilde_tower_mass"], g_frac):
-            raise BoundMismatch(f"llt-ratio[k={k}] tilde_tower_mass != (H-n+1)p/H = {g_frac}")
-        b = root_n_interval_probability(n)
-        if (det["b_n"], det["b_error"]) != (b.value, b.error):
-            raise BoundMismatch(
-                f"llt-ratio[k={k}] b_n = {det['b_n']} +- {det['b_error']}, "
-                f"the rational bracket gives {b.value} +- {b.error}")
-        want = g_frac * b.lower / rho
-        if not _close(rec["value"], want):
-            raise BoundMismatch(f"llt-ratio[k={k}] value {rec['value']} != {want}")
-        ratio[k] = rec
-        checks.append(f"llt-ratio[k={k}]: b_{n}={b.value:.12g} and value={want:.6g} re-derived")
-    for rec in probes_recs:
-        if rec["name"] != "clt":
-            continue
-        k, det = rec["index"], rec["details"]
-        if k not in ratio:
-            raise BoundMismatch(f"clt[k={k}] has no llt-ratio record to rest on")
-        r_lower = ratio[k]["value"] - ratio[k]["error"]
-        rho = sched["rho"][k]
-        if not (_close(det["ratio_lower"], r_lower) and _close(det["rho_k"], rho)):
-            raise BoundMismatch(f"clt[k={k}] ratio_lower or rho_k disagrees with llt-ratio[k={k}]")
-        want = (r_lower / 2.0 - pr.PHI0) * rho
-        if not _close(rec["value"], want):
-            raise BoundMismatch(f"clt[k={k}] value {rec['value']} != (R/2 - phi(0)) rho = {want}")
-        checks.append(f"clt[k={k}]: value={want:.6g} re-derived from llt-ratio")
-
-
-def _recheck_mixing_values(probes_recs, sched, checks):
-    """Re-derive the thm3 mixing record: rebuild the tower chain from the
-    schedule's H, p, remainder_height and remainder_mass, rerun the lag
-    search, and compare m_lags, beta_at_m, aperiodic and value."""
-    recs = [rec for rec in probes_recs if rec["name"] == "mixing"]
-    if len(recs) != 1:
-        raise BoundMismatch(f"expected one mixing record, found {len(recs)}")
-    rec, det = recs[0], recs[0]["details"]
-    schedule = Schedule(**{f.name: sched[f.name] for f in dataclasses.fields(Schedule)})
-    want = pr.mixing_probe(tower_chain_system(schedule), schedule)
-    if det["m_lags"] != want.details.get("m_lags"):
-        raise BoundMismatch(
-            f"mixing m_lags {det['m_lags']} != re-derived {want.details.get('m_lags')}")
-    betas = want.details["beta_at_m"]
-    if len(det["beta_at_m"]) != len(betas) or any(
-            not _close(a, b) for a, b in zip(det["beta_at_m"], betas)):
-        raise BoundMismatch(f"mixing beta_at_m {det['beta_at_m']} != re-derived {betas}")
-    if det["aperiodic"] != want.details["aperiodic"]:
-        raise BoundMismatch("mixing aperiodic flag disagrees with the tower heights")
-    if not _close(rec["value"], want.value):
-        raise BoundMismatch(f"mixing value {rec['value']} != max beta/(7 eps) = {want.value}")
-    checks.append(f"mixing: m_lags={det['m_lags']} and beta_at_m re-derived")
 
 
 def _recheck_direction(rec, checks):

@@ -1,6 +1,7 @@
 """Probe semantics: LLT/CLT inequalities, MDS checks, mixing, baseline."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +33,12 @@ from slowclt import (
 from slowclt.construction import (
     LatticeNoise,
     ProcessModel,
+    TwoIntervalUniformNoise,
     derive_schedule_thm3,
     tower_chain_system,
 )
-from slowclt.probes import ProbeResult, _mds_bin_index, variance_probe
+from slowclt import probes
+from slowclt.probes import ProbeResult, _mds_bin_index, _mds_exact, variance_probe
 
 DESK_THM3 = RateSequence.power_law(0.25, 0.5)
 
@@ -175,6 +178,49 @@ class TestMdsConditionalMean:
         m = small_model()
         r = mds_conditional_mean_test(m, 3, reps=150_000, seed=2, filter_coeff=0.5)
         assert not r.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), window=st.integers(2, 5), filter_coeff=st.sampled_from([0.0, 0.5]))
+    def test_tower_level_equals_path_enumeration(self, data, window, filter_coeff):
+        heights = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        raw = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(heights),
+                                 max_size=len(heights)))
+        sys_ = build_tower_system(
+            [TowerSpec(h, r / sum(raw)) for h, r in zip(heights, raw)])
+        weight = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
+            min_size=sys_.n_states, max_size=sys_.n_states)))
+        kind = data.draw(st.sampled_from(["lattice", "two-interval", "biased"]))
+        noise = TwoIntervalUniformNoise() if kind == "two-interval" else LatticeNoise(
+            data.draw(st.floats(0.1, 1.0)))
+        support = probes._noise_support
+        if kind == "biased":  # a +-1 law with mean 2q - 1, so w(x_j) E g counts
+            q = data.draw(st.floats(0.05, 0.95))
+            support = lambda model: [(-1.0, 1.0 - q), (1.0, q)]  # noqa: E731
+        m = ProcessModel("thm1", sys_, noise, weight)
+        with mock.patch.object(probes, "_noise_support", support):
+            r = mds_conditional_mean_test(m, window, filter_coeff=filter_coeff)
+            want = _mds_exact(m, window, window // 2, filter_coeff)
+        assert r.method == "exact"
+        assert abs(r.value - want) <= 1e-12
+
+    def test_noise_mean_enters(self, monkeypatch):
+        # a biased noise law fails the exact route, with or without the filter
+        m = small_model()
+        monkeypatch.setattr(probes, "_noise_support", lambda model: [(-1.0, 0.3), (1.0, 0.7)])
+        for filter_coeff in (0.0, 0.5):
+            r = mds_conditional_mean_test(m, 3, filter_coeff=filter_coeff)
+            assert not r.passed
+            assert abs(r.value - _mds_exact(m, 3, 1, filter_coeff)) <= 1e-12
+
+    def test_window_1_has_no_filter_term(self):
+        m = small_model()
+        r = mds_conditional_mean_test(m, 1, filter_coeff=0.5)
+        assert r.passed and abs(r.value - _mds_exact(m, 1, 0, 0.5)) <= 1e-12
+
+    def test_window_below_1_rejected(self):
+        with pytest.raises(ValueError):
+            mds_conditional_mean_test(small_model(), 0)
 
 
 class TestConditionalVarianceFloor:
