@@ -75,7 +75,6 @@ from .towers import (
     TowerSystem,
     build_tower_system,
     occupancy_distribution,
-    sample_trajectory,
     sample_trajectory_batch,
     stationary_measure,
     step_distribution,

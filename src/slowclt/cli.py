@@ -43,6 +43,8 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _schedule_from_args(args):
+    if not isinstance(args.constants, dict):
+        raise ConfigError(f"--constants must be a JSON object, got {args.constants!r}")
     rate = RateSequence.power_law(args.rate_c, args.rate_beta)
     return derive_schedule(args.variant, rate, args.K, **args.constants)
 

@@ -3,8 +3,8 @@
 A schedule turns a target rate sequence a_n into per-index parameters
 (probe times n_k, tower heights H_k, set masses d_k, tower masses p_k, ...)
 for one of three construction variants; a process model glues the resulting
-tower system to an independent noise factor through a per-state weight map,
-so that the observable is weight(state) * g.
+tower system to an independent noise factor through a weight that is
+constant on runs of levels, so that the observable is weight(state) * g.
 """
 
 from __future__ import annotations
@@ -284,22 +284,44 @@ def derive_schedule_thm3(
     )
 
 
-def derive_schedule(variant: str, a: RateSequence, K: int, **kwargs) -> Schedule:
+# the constants each variant's schedule takes
+VARIANT_CONSTANTS = {
+    "thm1": ("search_cap",),
+    "thm2": ("L1", "L2", "L", "search_cap"),
+    "thm3": ("search_cap", "eps0"),
+}
+
+
+def derive_schedule(variant: str, a: RateSequence, K: int, **constants) -> Schedule:
     """Dispatch to the per-variant schedule rule.
 
-    Density-variant constants default to L1=1, L2=100, L=4 unless given in
-    kwargs; remaining kwargs are forwarded (search_cap, eps0, ...).
+    constants holds only names of VARIANT_CONSTANTS[variant], each a finite
+    number (search_cap an int >= 1; eps0 and L1 positive); anything else
+    raises BadConstants.  Density-variant constants default to L1=1, L2=100,
+    L=4.
     """
+    if variant not in VARIANT_CONSTANTS:
+        raise VariantMismatch(f"unknown variant {variant!r}")
+    allowed = VARIANT_CONSTANTS[variant]
+    for name, v in constants.items():
+        if name not in allowed:
+            raise BadConstants(f"{variant} takes constants {list(allowed)}, not {name!r}")
+        number = not isinstance(v, bool) and (
+            isinstance(v, int) or isinstance(v, float) and math.isfinite(v))
+        if name == "search_cap" and not (number and isinstance(v, int) and v >= 1):
+            raise BadConstants(f"constant search_cap must be an int >= 1, got {v!r}")
+        positive = name in ("eps0", "L1")
+        if not number or (positive and v <= 0):
+            raise BadConstants(f"constant {name} must be a {'positive' if positive else 'finite'} "
+                               f"number, got {v!r}")
     if variant == "thm1":
-        return derive_schedule_thm1(a, K, **kwargs)
+        return derive_schedule_thm1(a, K, **constants)
     if variant == "thm2":
-        L1 = kwargs.pop("L1", 1.0)
-        L2 = kwargs.pop("L2", 100.0)
-        L = kwargs.pop("L", 4.0)
-        return derive_schedule_thm2(a, L1, L2, L, K, **kwargs)
-    if variant == "thm3":
-        return derive_schedule_thm3(a, K, **kwargs)
-    raise VariantMismatch(f"unknown variant {variant!r}")
+        L1 = constants.pop("L1", 1.0)
+        L2 = constants.pop("L2", 100.0)
+        L = constants.pop("L", 4.0)
+        return derive_schedule_thm2(a, L1, L2, L, K, **constants)
+    return derive_schedule_thm3(a, K, **constants)
 
 
 def _remainder_height(heights: Sequence[int], min_height: int) -> int:
@@ -352,24 +374,52 @@ class TwoIntervalUniformNoise:
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """Tower system + noise + per-state weight; f(state, g) = weight(state)*g."""
+    """Tower system + noise + weight; f(state, g) = weight(state) * g.
+
+    runs[l] holds tower l's weight as runs (start, end, value): value on
+    levels start .. end - 1, the runs in order and covering [0, height).
+    """
 
     variant: str
     system: TowerSystem
     noise: object
-    weight: np.ndarray  # one weight per flat state index
+    runs: tuple
     schedule: Optional[Schedule] = None
+
+    def __post_init__(self):
+        if len(self.runs) != len(self.system.towers):
+            raise ValueError("runs need one list per tower")
+        for l, (tower, h) in enumerate(zip(self.runs, self.system.heights.tolist())):
+            edges = [0] + [e for _, e, _ in tower]
+            starts = [s for s, _, _ in tower]
+            if starts != edges[:-1] or edges != sorted(set(edges)) or edges[-1] != h:
+                raise ValueError(f"runs of tower {l} must be non-empty and cover "
+                                 f"[0, {h}) in order")
 
     @property
     def sigma2(self) -> float:
-        pi = self.system.stationary_array()
-        return float(np.dot(pi, self.weight**2)) * self.noise.variance
+        lam = self.system.level_masses
+        return math.fsum(lam[l] * (e - s) * v * v for l, tower in enumerate(self.runs)
+                         for s, e, v in tower) * self.noise.variance
 
     @property
     def mu_inactive(self) -> float:
         """Measure of the zero-weight set A."""
-        pi = self.system.stationary_array()
-        return float(pi[self.weight == 0.0].sum())
+        lam = self.system.level_masses
+        return math.fsum(lam[l] * (e - s) for l, tower in enumerate(self.runs)
+                         for s, e, v in tower if v == 0.0)
+
+    def weight_at(self, idx) -> np.ndarray:
+        """Weight of each flat state index, read off the run that holds it."""
+        offsets = self.system.offsets
+        starts = [a0 + s for a0, tower in zip(offsets, self.runs) for s, _, _ in tower]
+        values = np.array([v for tower in self.runs for _, _, v in tower])
+        return values[np.searchsorted(starts, idx, side="right") - 1]
+
+
+def _slab_runs(H: int, slab: int) -> tuple:
+    """Weight 0 on the lowest `slab` levels, the near-invariant slab A_k, and 1 above."""
+    return tuple(r for r in ((0, slab, 0.0), (slab, H, 1.0)) if r[0] < r[1])
 
 
 def build_counterexample(sched: Schedule, noise=None) -> ProcessModel:
@@ -379,56 +429,27 @@ def build_counterexample(sched: Schedule, noise=None) -> ProcessModel:
         raise VariantMismatch(f"{sched.variant} needs lattice noise")
     if sched.variant == "thm2" and noise.kind != "two-interval-uniform":
         raise VariantMismatch("thm2 needs two-interval-uniform noise")
-    if sched.variant == "thm1":
-        return _build_thm1(sched, noise)
-    if sched.variant == "thm2":
-        return _build_thm2(sched, noise)
-    return _build_thm3(sched, noise)
-
-
-def _build_thm1(sched: Schedule, noise) -> ProcessModel:
-    specs = [TowerSpec(H, p) for H, p in zip(sched.H, sched.p)]
+    specs, runs = [], []
+    for H, n, p, d in zip(sched.H, sched.n, sched.p, sched.d):
+        if sched.variant == "thm2":
+            specs.append(TowerSpec(H, p))
+            runs.append(((0, H, d),))
+        elif sched.variant == "thm1":
+            specs.append(TowerSpec(H, p))
+            runs.append(_slab_runs(H, H - n + 1))
+        else:
+            # a marked and an unmarked half of equal mass; the
+            # near-invariant slab lives in the marked half only
+            specs += [TowerSpec(H, p / 2.0), TowerSpec(H, p / 2.0)]
+            runs += [_slab_runs(H, H - n + 1), ((0, H, 1.0),)]
+    # the remainder tower carries weight 0 in the density variant, 1 otherwise
     specs.append(TowerSpec(sched.remainder_height, sched.remainder_mass))
-    system = build_tower_system(specs)
-    weight = np.ones(system.n_states)
-    for k, (H, n) in enumerate(zip(sched.H, sched.n)):
-        a0 = system.offsets[k]
-        weight[a0 : a0 + (H - n + 1)] = 0.0  # near-invariant slab A_k
-    return _finalize_lattice(sched, system, noise, weight)
-
-
-def _build_thm3(sched: Schedule, noise) -> ProcessModel:
-    # Each tower is split into a marked and an unmarked half of equal mass;
-    # the near-invariant slab lives in the marked half only.
-    specs = []
-    for H, p in zip(sched.H, sched.p):
-        specs.append(TowerSpec(H, p / 2.0))  # marked half
-        specs.append(TowerSpec(H, p / 2.0))  # unmarked half
-    specs.append(TowerSpec(sched.remainder_height, sched.remainder_mass))
-    system = build_tower_system(specs)
-    weight = np.ones(system.n_states)
-    for k, (H, n) in enumerate(zip(sched.H, sched.n)):
-        a0 = system.offsets[2 * k]  # marked half of tower k
-        weight[a0 : a0 + (H - n + 1)] = 0.0
-    return _finalize_lattice(sched, system, noise, weight)
-
-
-def _finalize_lattice(sched, system, noise, weight) -> ProcessModel:
-    model = ProcessModel(sched.variant, system, noise, weight, sched)
+    runs.append(((0, sched.remainder_height, float(sched.variant != "thm2")),))
+    model = ProcessModel(sched.variant, build_tower_system(specs), noise, tuple(runs), sched)
     mu_a = model.mu_inactive
     if not (0.0 < mu_a < 1.0):
         raise DegenerateModel(f"mu(A) = {mu_a} is degenerate")
     return model
-
-
-def _build_thm2(sched: Schedule, noise) -> ProcessModel:
-    specs = [TowerSpec(H, p) for H, p in zip(sched.H, sched.p)]
-    specs.append(TowerSpec(sched.remainder_height, sched.remainder_mass))
-    system = build_tower_system(specs)
-    weight = np.zeros(system.n_states)
-    for k, d_k in enumerate(sched.d):
-        weight[system.offsets[k] : system.offsets[k + 1]] = d_k
-    return ProcessModel("thm2", system, noise, weight, sched)
 
 
 def tower_chain_system(sched: Schedule) -> TowerSystem:

@@ -95,21 +95,6 @@ class PiecewiseDensity:
 
 
 @dataclass(frozen=True)
-class GridDensity:
-    """Cell masses on a uniform grid; cell i covers [left + i*step, left + (i+1)*step)."""
-
-    left: float
-    step: float
-    masses: np.ndarray
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if abs(float(np.sum(self.masses)) - 1.0) > 1e-9:
-            raise ValueError("cell masses must sum to 1")
-
-
-@dataclass(frozen=True)
 class IntervalProbability:
     """Probability with its certified error bound and computation method."""
 
@@ -147,30 +132,24 @@ def symmetric_step_sum(a: float, m: int) -> LatticeDistribution:
     return LatticeDistribution(offset=-m, probs=probs)
 
 
-def step_sum_table(a: float, m_max: int) -> list[np.ndarray]:
-    """probs arrays of symmetric_step_sum(a, m) for all m in [0, m_max]."""
-    out = [np.array([1.0])]
-    kernel = np.array([a / 2.0, 1.0 - a, a / 2.0])
-    for _ in range(m_max):
-        out.append(np.convolve(out[-1], kernel))
-    return out
-
-
 def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
-    """Exact law of the n-step partial sum of a lattice model."""
+    """Exact law of the n-step partial sum of a lattice model: the mixture over
+    the occupancy count m of the m-fold noise convolution, which is advanced
+    by one kernel step per m, so only one noise law is held at a time."""
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice_sum_distribution needs a lattice model")
     if n < 1:
         raise ValueError("n must be >= 1")
-    active = model.weight > 0.5
+    active = [[(s, e) for s, e, v in tower if v > 0.5] for tower in model.runs]
     occ = occupancy_distribution(model.system, active, n)
-    table = step_sum_table(model.noise.a, n)
+    a = model.noise.a
+    kernel = np.array([a / 2.0, 1.0 - a, a / 2.0])
+    law = np.array([1.0])
     probs = np.zeros(2 * n + 1)
-    for m in range(n + 1):
-        w = occ.probs[m]
-        if w == 0.0:
-            continue
-        probs[n - m : n + m + 1] += w * table[m]
+    for m, w in enumerate(occ.probs):
+        if w != 0.0:
+            probs[n - m : n + m + 1] += w * law
+        law = np.convolve(law, kernel)
     return LatticeDistribution(offset=-n, probs=probs)
 
 
@@ -182,8 +161,9 @@ def lattice_sum_by_path_enumeration(model, n: int) -> LatticeDistribution:
     values = np.array([[v for v, _ in o] for o in outcomes], dtype=float)
     weights = np.array([math.prod(p for _, p in o) for o in outcomes])
     probs = np.zeros(2 * n + 1)
+    weight = model.weight_at(np.arange(model.system.n_states))
     for path, prob in enumerate_paths(model.system, n):
-        totals = np.rint(values @ model.weight[list(path)]).astype(int)
+        totals = np.rint(values @ weight[list(path)]).astype(int)
         np.add.at(probs, totals + n, prob * weights)
     return LatticeDistribution(offset=-n, probs=probs)
 
@@ -390,7 +370,6 @@ def sample_partial_sums(model, n: int, reps: int, seed: int) -> np.ndarray:
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     towers, levels = sample_trajectory_batch(model.system, seed, n, reps)
-    idx = model.system.offsets[towers] + levels
-    w = model.weight[idx]
+    w = model.weight_at(model.system.offsets[towers] + levels)
     g = model.noise.sample(np.random.default_rng(np.random.SeedSequence([int(seed), 0x6e6f6973])), (reps, n))
     return (w * g).sum(axis=1)

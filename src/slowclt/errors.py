@@ -24,7 +24,7 @@ class ScheduleInfeasible(SlowCltError):
 
 
 class BadConstants(SlowCltError):
-    """Density-variant constants violate L2 >= 10*L1."""
+    """Schedule constants are unknown to the variant, not numbers, or out of range."""
 
 
 class VariantMismatch(SlowCltError):

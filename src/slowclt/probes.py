@@ -184,9 +184,8 @@ def density_bound_probe(model: ProcessModel) -> ProbeResult:
 
 
 def variance_probe(model: ProcessModel) -> ProbeResult:
-    """Closed-form variance against the state-sum route, tolerance 1e-12."""
-    pi = model.system.stationary_array()
-    state_sum = float(np.dot(pi, model.weight**2)) * model.noise.variance
+    """Closed-form variance against model.sigma2, the sum over weight runs,
+    tolerance 1e-12."""
     sched = model.schedule
     if model.variant == "thm2":
         closed = sched.constants["sigma2_truncated"]
@@ -194,9 +193,9 @@ def variance_probe(model: ProcessModel) -> ProbeResult:
         # each inactive slab has exact mass d_k, so Var f = Var g * (1 - sum d_k)
         closed = model.noise.variance * (1.0 - sum(sched.d))
     return ProbeResult(
-        name="variance", index=-1, value=abs(state_sum - closed), bound=1e-12,
+        name="variance", index=-1, value=abs(model.sigma2 - closed), bound=1e-12,
         direction="<=", method="exact",
-        details={"sigma2": state_sum, "closed_form": closed},
+        details={"sigma2": model.sigma2, "closed_form": closed},
     )
 
 
@@ -218,10 +217,10 @@ def mds_conditional_mean_test(
     is its largest modulus over every positive-probability pair of
     consecutive states (a level step inside a tower, or a top-to-base
     landing) and every g_{j-1} in the noise support; all must vanish.  One
-    O(states) pass; _mds_exact is its brute-force oracle.  Monte Carlo route
-    (reps > 0): bin samples by the tower sequence and the signs of the other
-    noise values, and demand every bin mean stay within 4 standard errors of
-    0.  filter_coeff != 0 replaces f_j by f_j + filter_coeff * f_{j-1}, a
+    pass over the weight runs; _mds_exact is its brute-force oracle.  Monte
+    Carlo route (reps > 0): bin samples by the tower sequence and the signs of
+    the other noise values, and demand every bin mean stay within 4 standard
+    errors of 0.  filter_coeff != 0 replaces f_j by f_j + filter_coeff * f_{j-1}, a
     deliberately non-MDS control.
     """
     if window < 1:
@@ -244,16 +243,16 @@ def _mds_tower_level(model, j, filter_coeff) -> float:
     """max |w(x_j) E g + c w(x_{j-1}) g_{j-1}| over consecutive states and noise values."""
     support = _noise_support(model)
     mean_g = sum(v * p for v, p in support)
-    w = model.weight
+    runs = model.runs
     if not filter_coeff or j == 0:
-        return float(np.abs(w).max()) * abs(mean_g)
-    sys = model.system
-    tops = sys.offsets[1:] - 1
-    bases = sys.offsets[:-1][sys.landing > 0.0]
-    climbs = np.ones(sys.n_states - 1, dtype=bool)
-    climbs[tops[:-1]] = False  # a top is followed by a landed base, not the next state
-    prev = np.concatenate([w[:-1][climbs], np.repeat(w[tops], len(bases))])
-    cur = np.concatenate([w[1:][climbs], np.tile(w[bases], len(tops))])
+        return max(abs(v) for tower in runs for _, _, v in tower) * abs(mean_g)
+    # (previous, current) weights: a climb inside a run or from one run to
+    # the next, or a landing from any top on a base the row reaches
+    pairs = [(v, v) for tower in runs for s, e, v in tower if e - s > 1]
+    pairs += [(r0[2], r1[2]) for tower in runs for r0, r1 in zip(tower, tower[1:])]
+    bases = [tower[0][2] for tower, p in zip(runs, model.system.landing) if p > 0.0]
+    pairs += [(tower[-1][2], b) for tower in runs for b in bases]
+    prev, cur = np.array(pairs).T
     return max(float(np.abs(cur * mean_g + filter_coeff * g * prev).max()) for g, _ in support)
 
 
@@ -273,6 +272,7 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
     every (path, other noise values) cylinder of enumerate_paths."""
     support = _noise_support(model)
     paths = enumerate_paths(model.system, window)
+    weight = model.weight_at(np.arange(model.system.n_states))
     bins: dict[tuple, list[float]] = {}
     import itertools
 
@@ -289,9 +289,9 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
             num, den = bins.setdefault(key, [0.0, 0.0])
             for gj, pj in support:
                 gvals[j] = gj
-                f_j = model.weight[path[j]] * gj
+                f_j = weight[path[j]] * gj
                 if filter_coeff and j >= 1:
-                    f_j += filter_coeff * model.weight[path[j - 1]] * gvals[j - 1]
+                    f_j += filter_coeff * weight[path[j - 1]] * gvals[j - 1]
                 num += key_prob * pj * f_j
                 den += key_prob * pj
             bins[key] = [num, den]
@@ -324,8 +324,7 @@ def _mds_bin_index(towers: np.ndarray, g: np.ndarray, j: int, n_towers: int) -> 
 def _mds_mc(model, window, j, reps, seed, filter_coeff):
     sys = model.system
     towers, levels = sample_trajectory_batch(sys, seed, window, reps)
-    idx = sys.offsets[towers] + levels
-    w = model.weight[idx]
+    w = model.weight_at(sys.offsets[towers] + levels)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6d6473]))
     g = model.noise.sample(rng, (reps, window))
     f = w[:, j] * g[:, j]
@@ -366,16 +365,11 @@ def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
         raise VariantMismatch("variance-floor probe is for lattice models")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    sys = model.system
-    w2 = model.weight**2
-    worst = math.inf
-    for l in range(len(sys.towers)):
-        a0, b0 = sys.offsets[l], sys.offsets[l + 1]
-        nxt = np.empty(b0 - a0)
-        nxt[:-1] = w2[a0 + 1 : b0]
-        nxt[-1] = float(np.dot(sys.landing, w2[sys.offsets[:-1]]))
-        worst = min(worst, float(nxt.min()))
-    value = model.noise.variance * worst
+    # the next state is a level >= 1 of the same tower, or a landed base
+    climbed = [v * v for tower in model.runs for _, e, v in tower if e > 1]
+    bases = [tower[0][2] for tower in model.runs]
+    landed = float(np.dot(model.system.landing, np.square(bases)))
+    value = model.noise.variance * min(climbed + [landed])
     return ProbeResult(
         name="variance-floor", index=depth, value=value, bound=1e-15,
         direction="<=", method="exact",
@@ -407,7 +401,7 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
     chunk, and only the last max(H) values of u and TV are carried over.
     """
     H = sys.heights
-    lam = sys.stationary_array()[sys.offsets[:-1]]
+    lam = sys.level_masses
     r = sys.landing
     inv_mu = 1.0 / float(np.dot(r, H))
     W, B = int(H.max()), int(H.min())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +73,7 @@ class TowerSystem:
         self.landing = row / row.sum()
         self._masses = np.array([t.mass for t in self.towers]) / total
         self.heights = np.array([t.height for t in self.towers], dtype=int)
+        self.level_masses = self._masses / self.heights
         self.offsets = np.concatenate([[0], np.cumsum(self.heights)])
         self.n_states = int(self.offsets[-1])
 
@@ -81,10 +82,6 @@ class TowerSystem:
     def state_index(self, s: TowerState) -> int:
         self._check_state(s)
         return int(self.offsets[s.tower]) + s.level
-
-    def state_of_index(self, i: int) -> TowerState:
-        tower = int(np.searchsorted(self.offsets, i, side="right")) - 1
-        return TowerState(tower, int(i - self.offsets[tower]))
 
     def states(self) -> Iterable[TowerState]:
         for l, t in enumerate(self.towers):
@@ -103,14 +100,8 @@ class TowerSystem:
     # -- measure and dynamics -------------------------------------------
 
     def stationary_array(self) -> np.ndarray:
-        """Stationary probability of every state, flat-indexed."""
-        out = np.empty(self.n_states)
-        for l, t in enumerate(self.towers):
-            out[self.offsets[l] : self.offsets[l + 1]] = self._masses[l] / t.height
-        return out
-
-    def level_mass(self, tower: int) -> float:
-        return self._masses[tower] / self.towers[tower].height
+        """Stationary probability of every state, flat-indexed (small systems)."""
+        return np.repeat(self.level_masses, self.heights)
 
     def gcd_heights(self) -> int:
         return math.gcd(*[t.height for t in self.towers])
@@ -152,54 +143,30 @@ def step_distribution(sys: TowerSystem, s: TowerState) -> dict[TowerState, float
     return {TowerState(d, 0): float(p) for d, p in enumerate(sys.landing) if p > 0.0}
 
 
-def sample_trajectory(
-    sys: TowerSystem,
-    seed: int,
-    n: int,
-    start: Optional[TowerState] = None,
-) -> list[TowerState]:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x70776572]))
-    if start is None:
-        pi = sys.stationary_array()
-        idx = int(rng.choice(sys.n_states, p=pi))
-        state = sys.state_of_index(idx)
-    else:
-        sys._check_state(start)
-        state = start
-    out = []
-    for _ in range(n):
-        out.append(state)
-        h = sys.towers[state.tower].height
-        if state.level < h - 1:
-            state = TowerState(state.tower, state.level + 1)
-        else:
-            d = int(rng.choice(len(sys.towers), p=sys.landing))
-            state = TowerState(d, 0)
-    return out
-
-
 def sample_trajectory_batch(
     sys: TowerSystem, seed: int, n: int, reps: int, block: int = 1 << 14
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary trajectories: (reps, n) arrays of tower and level.
 
     Deterministic per seed; reps are split into fixed-size blocks with
-    independent substreams, so results do not depend on worker count.
+    independent substreams, so results do not depend on worker count.  A
+    start is one uniform draw u, read through the cumulative tower masses to
+    a tower and then through its level mass to a level: the draw and the
+    cumulative-mass search of rng.choice(n_states, p=stationary_array()),
+    with no per-state table.
     """
     towers = np.empty((reps, n), dtype=np.int32)
     levels = np.empty((reps, n), dtype=np.int32)
-    pi = sys.stationary_array()
     heights = sys.heights
+    upto = np.cumsum(sys._masses)
+    below = upto - sys._masses
     cum = np.cumsum(sys.landing)
     for b0 in range(0, reps, block):
         b1 = min(b0 + block, reps)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), b0 // block]))
-        m = b1 - b0
-        idx = rng.choice(sys.n_states, p=pi, size=m)
-        tw = (np.searchsorted(sys.offsets, idx, side="right") - 1).astype(np.int32)
-        lv = (idx - sys.offsets[tw]).astype(np.int32)
+        u = rng.random(b1 - b0)
+        tw = np.minimum(np.searchsorted(upto, u, side="right"), len(heights) - 1).astype(np.int32)
+        lv = np.minimum((u - below[tw]) // sys.level_masses[tw], heights[tw] - 1).astype(np.int32)
         for t in range(n):
             towers[b0:b1, t] = tw
             levels[b0:b1, t] = lv
@@ -213,60 +180,94 @@ def sample_trajectory_batch(
                 tw = tw.copy()
                 tw[at_top] = dest
                 lv[at_top] = 0
-        # rep loop done
     return towers, levels
 
 
-def _active_array(sys: TowerSystem, active) -> np.ndarray:
-    if isinstance(active, np.ndarray):
-        if active.shape != (sys.n_states,):
-            raise ValueError("active array must have one entry per state")
-        return active.astype(bool)
-    return np.array([bool(active(s)) for s in sys.states()])
+def _knots(sys: TowerSystem, active) -> tuple[np.ndarray, np.ndarray]:
+    """Knots (xp, fp) of pref(x), the number of active states below flat state
+    index x, from each tower's active intervals [start, end): pref has slope
+    1 on each interval and slope 0 between them, so np.interp reads it
+    exactly, every value being an integer below 2^53."""
+    if len(active) != len(sys.towers):
+        raise ValueError("active needs one list of intervals per tower")
+    tower = np.array([l for l, iv in enumerate(active) for _ in iv], dtype=np.int64)
+    s, e = (np.array([se for iv in active for se in iv], dtype=np.int64).reshape(-1, 2)
+            + sys.offsets[tower, None]).T
+    if (np.any(s >= e) or np.any(s[1:] < e[:-1]) or np.any(s < sys.offsets[tower])
+            or np.any(e > sys.offsets[tower + 1])):
+        raise ValueError("active intervals must be non-empty, sorted, disjoint "
+                         "and inside their tower")
+    cum = np.cumsum(e - s)
+    return (np.concatenate([[0], np.column_stack([s, e]).ravel()]),
+            np.concatenate([[0], np.column_stack([cum - (e - s), cum]).ravel()]))
 
 
-def occupancy_distribution(
-    sys: TowerSystem,
-    active: Callable[[TowerState], bool] | np.ndarray,
-    n: int,
-) -> OccupancyDistribution:
+def _prefix(knots: tuple[np.ndarray, np.ndarray], x) -> np.ndarray:
+    return np.interp(x, *knots).astype(np.int64)
+
+
+def _window_counts(sys: TowerSystem, knots, n: int) -> np.ndarray:
+    """hist[d, c] = #{0 <= j <= h_d - n : c active levels among j .. j + n - 1
+    of tower d}, 0 for towers lower than n.  Over one tower's starts the count
+    pref(j + n) - pref(j) is linear in j, of slope -1, 0 or 1, between breaks
+    among the knots and the knots minus n, so each segment adds its length
+    to one bin or one to each bin of a range."""
+    base = sys.offsets[:-1]
+    last = base + sys.heights - n + 1  # tower d's starts are base[d] .. last[d] - 1
+    cuts = np.concatenate([base, last, knots[0], knots[0] - n])
+    cuts = np.unique(cuts[(cuts >= 0) & (cuts <= sys.n_states)])
+    d = np.searchsorted(base, cuts[:-1], side="right") - 1
+    keep = cuts[:-1] < last[d]
+    lo, hi, d = cuts[:-1][keep], cuts[1:][keep] - 1, d[keep]
+    p = _prefix(knots, np.concatenate([lo, hi, lo + n, hi + n])).reshape(4, -1)
+    c_lo, c_hi = p[2] - p[0], p[3] - p[1]
+    flat = c_lo == c_hi
+    hist = np.zeros((len(base), n + 2), dtype=np.int64)
+    np.add.at(hist, (d[~flat], np.minimum(c_lo, c_hi)[~flat]), 1)
+    np.add.at(hist, (d[~flat], np.maximum(c_lo, c_hi)[~flat] + 1), -1)
+    hist = np.cumsum(hist, axis=1)
+    np.add.at(hist, (d[flat], c_lo[flat]), (hi - lo + 1)[flat])
+    return hist[:, : n + 1]
+
+
+def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistribution:
     """Exact law of m = #{0 <= i < n : state_i active}, stationary start.
 
-    A window is cut at the first tower top it leaves: the part before is read
-    off the start tower's prefix sums, and the r steps after start on a base
-    drawn from the landing row, whatever the tower left, so their count law
-    land[r] is one table for every start.  O(states + K n^2).
+    active[l] lists tower l's active levels as R sorted intervals (start,
+    end).  A window is cut at the first tower top it leaves: the part before
+    is read off the start tower's prefix counts, and the r steps after start
+    on a base drawn from the landing row, whatever the tower left, so their
+    count law land[r] is one table for every start.  Windows that leave no
+    top are counted per segment of their start.  O(R log R + K n^2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    act = _active_array(sys, active)
-    # prefs[d][i] = number of active levels among the first i of tower d
-    prefs = [
-        np.concatenate([[0], np.cumsum(act[a:b], dtype=np.int64)])
-        for a, b in zip(sys.offsets[:-1], sys.offsets[1:])
-    ]
-    heights = sys.heights.tolist()
+    knots = _knots(sys, active)
+    heights, base = sys.heights.tolist(), sys.offsets[:-1]
+    below = _prefix(knots, sys.offsets)
+    full = np.diff(below).tolist()  # active levels of each tower
+    # head[d, r] = active levels among the first r of tower d, r <= min(h_d, n)
+    r = np.minimum(np.arange(n + 1), sys.heights[:, None])
+    head = _prefix(knots, base[:, None] + r) - below[:-1, None]
     # land[r, c] = P(c active steps among r steps from a landed base)
     land = np.zeros((n, n + 1))
     land[0, 0] = 1.0
     for r in range(1, n):
-        for p, pref, h in zip(sys.landing, prefs, heights):
+        for p, pref, c, h in zip(sys.landing, head, full, heights):
             if h >= r:
                 land[r, pref[r]] += p
             else:
                 # a full pass through the tower, then a fresh landing
-                c = pref[h]
                 land[r, c : c + r - h + 1] += p * land[r - h, : r - h + 1]
+    windows = _window_counts(sys, knots, n)  # starts that never reach the top
     occ = np.zeros(n + 1)
-    for l, (pref, h) in enumerate(zip(prefs, heights)):
-        w = sys.level_mass(l)
-        if h >= n:
-            # starts j <= h - n never reach the top
-            occ += w * np.bincount(pref[n:] - pref[: h - n + 1], minlength=n + 1)
-        for j in range(max(0, h - n + 1), h):
+    for a0, b0, h, c, w, hist in zip(base, below, heights, full, sys.level_masses, windows):
+        occ += w * hist
+        j0 = max(0, h - n + 1)
+        tail = c - (_prefix(knots, a0 + np.arange(j0, h)) - b0)
+        for j, cj in zip(range(j0, h), tail.tolist()):
             r = n - h + j
-            c = pref[h] - pref[j]
-            occ[c : c + r + 1] += w * land[r, : r + 1]
+            occ[cj : cj + r + 1] += w * land[r, : r + 1]
     return OccupancyDistribution(window=n, probs=occ / occ.sum())
 
 
@@ -295,7 +296,10 @@ def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...],
 
 def occupancy_by_path_enumeration(sys: TowerSystem, active, n: int) -> np.ndarray:
     """Brute-force oracle: the occupancy law summed over enumerate_paths."""
-    act = _active_array(sys, active)
+    act = np.zeros(sys.n_states, dtype=bool)
+    for a0, iv in zip(sys.offsets, active):
+        for lo, hi in iv:
+            act[a0 + lo : a0 + hi] = True
     occ = np.zeros(n + 1)
     for path, prob in enumerate_paths(sys, n):
         occ[int(act[list(path)].sum())] += prob

@@ -40,6 +40,8 @@ from slowclt.construction import (
 from slowclt.distributions import lattice_sum_by_path_enumeration
 from slowclt.reporting import ExperimentConfig
 
+from helpers import runs_of
+
 THM1_RATE = RateSequence.power_law(0.5, 0.5)
 THM3_RATE = RateSequence.power_law(0.25, 0.5)
 THM2_RATE = RateSequence.power_law(0.05, 1.0)
@@ -175,7 +177,7 @@ def test_criterion_07_strong_mds(thm1, thm3):
     sys_ = build_tower_system([TowerSpec(7, 0.6), TowerSpec(8, 0.4)])
     weight = np.ones(sys_.n_states)
     weight[0:4] = 0.0
-    small = ProcessModel("thm1", sys_, LatticeNoise(0.5), weight)
+    small = ProcessModel("thm1", sys_, LatticeNoise(0.5), runs_of(sys_, weight))
     assert sys_.n_states <= 100
     for window in (2, 3, 4):
         res = mds_conditional_mean_test(small, window)
@@ -203,7 +205,7 @@ def test_criterion_08_oracle_equivalence():
         sys_ = build_tower_system(specs)
         assert sys_.n_states <= 200
         for a in (0.5, 1.0):
-            model = ProcessModel("thm1", sys_, LatticeNoise(a), weight)
+            model = ProcessModel("thm1", sys_, LatticeNoise(a), runs_of(sys_, weight))
             for n in (1, 4, 8):
                 exact = lattice_sum_distribution(model, n)
                 ref = lattice_sum_by_path_enumeration(model, n)

@@ -22,10 +22,15 @@ def test_selftest_exits_0():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = _tracing()
     originals = (slowclt.mixing_profile, slowclt.towers.TowerSystem.push_forward)
     tracer = tracing.Tracer()
     tracer.install(slowclt)
@@ -39,3 +44,17 @@ def test_tracer_installs_and_uninstalls():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["towers.push_forward_calls"] == 1
     assert metrics["probes.mixing_profile_s"] > 0.0
+
+
+def test_tracer_reads_occupancy_calls():
+    # the tracer reads occupancy_distribution's (system, active, n) by position
+    tracing = _tracing()
+    sched = slowclt.derive_schedule("thm1", slowclt.RateSequence.power_law(0.5, 1.0), 5)
+    model = slowclt.build_counterexample(sched)
+    tracer = tracing.Tracer()
+    tracer.install(slowclt)
+    try:
+        slowclt.lattice_sum_distribution(model, sched.n[-1])
+    finally:
+        tracer.uninstall()
+    assert tracing.layer_metrics(tracer.spans)["towers.occupancy_distribution_calls"] == 1

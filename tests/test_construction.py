@@ -11,8 +11,10 @@ from slowclt import (
     BadConstants,
     RateSequence,
     ScheduleInfeasible,
+    TowerSpec,
     VariantMismatch,
     build_counterexample,
+    build_tower_system,
     density_of_f,
     derive_schedule,
     derive_schedule_thm1,
@@ -21,7 +23,9 @@ from slowclt import (
     intersection_lower_bound,
 )
 from slowclt.construction import (
+    DEFAULT_SEARCH_CAP,
     LatticeNoise,
+    ProcessModel,
     TwoIntervalUniformNoise,
     tower_chain_system,
 )
@@ -136,6 +140,20 @@ class TestScheduleThm2:
         with pytest.raises(VariantMismatch):
             derive_schedule("thm9", DESK_THM2, 3)
 
+    @pytest.mark.parametrize("variant, constants", [
+        ("thm1", {"bogus": 1}),
+        ("thm1", {"L1": 1.0}),  # a thm2 constant
+        ("thm2", {"L1": "x"}),
+        ("thm2", {"L": float("nan")}),
+        ("thm2", {"L1": 0.0}),
+        ("thm3", {"eps0": -1}),
+        ("thm3", {"search_cap": 1e7}),
+        ("thm3", {"search_cap": True}),
+    ])
+    def test_dispatcher_rejects_bad_constants(self, variant, constants):
+        with pytest.raises(BadConstants):
+            derive_schedule(variant, DESK_THM2, 4, **constants)
+
 
 power_law_params = st.tuples(
     st.floats(min_value=0.01, max_value=0.5),
@@ -150,7 +168,13 @@ class TestScheduleProperties:
     def test_thm1_invariants(self, params):
         c, beta, K = params
         a = RateSequence.power_law(c, beta)
-        s = derive_schedule_thm1(a, K)
+        try:
+            s = derive_schedule_thm1(a, K)
+        except ScheduleInfeasible:
+            # e.g. c=0.5, beta=0.25, K=5: a_n stays above the last threshold
+            # 2^-(K+2) up to the search cap, so the raise is the right answer
+            assert a(DEFAULT_SEARCH_CAP) > 2.0 ** (-(K + 2)) * (1.0 + 1e-12)
+            return
         assert all(x < y for x, y in zip(s.n, s.n[1:]))
         assert sum(s.d) < 1.0 and sum(s.p) < 1.0
         for k, (n, d, rho) in enumerate(zip(s.n, s.d, s.rho)):
@@ -175,23 +199,27 @@ class TestBuildCounterexample:
     def test_thm1_weight_layout(self):
         s = derive_schedule_thm1(DESK_THM1, 2)
         m = build_counterexample(s)
-        sys_ = m.system
         # lowest H-n+1 levels of each scheduled tower carry weight 0
         for k, (H, n) in enumerate(zip(s.H, s.n)):
-            a0 = sys_.offsets[k]
-            assert np.all(m.weight[a0 : a0 + H - n + 1] == 0.0)
-            assert np.all(m.weight[a0 + H - n + 1 : sys_.offsets[k + 1]] == 1.0)
+            assert m.runs[k] == ((0, H - n + 1, 0.0), (H - n + 1, H, 1.0))
+        assert m.runs[2] == ((0, s.remainder_height, 1.0),)
+        assert m.mu_inactive == pytest.approx(sum(s.d), rel=1e-12)
+
+    def test_thm1_wholly_inactive_tower(self):
+        # n_0 = 1 puts all H_0 = 2 levels of tower 0 in the slab: one run, no empty one
+        s = derive_schedule_thm1(RateSequence.power_law(0.1, 1.0), 3)
+        assert s.n[0] == 1 and s.H[0] == 2
+        m = build_counterexample(s)
+        assert m.runs[0] == ((0, 2, 0.0),)
+        assert all(len(tower) == 2 for tower in m.runs[1:3])
         assert m.mu_inactive == pytest.approx(sum(s.d), rel=1e-12)
 
     def test_thm3_slab_in_marked_half_only(self):
         s = derive_schedule_thm3(DESK_THM3, 2)
         m = build_counterexample(s)
-        sys_ = m.system
         for k, (H, n) in enumerate(zip(s.H, s.n)):
-            marked = sys_.offsets[2 * k]
-            unmarked = sys_.offsets[2 * k + 1]
-            assert np.all(m.weight[marked : marked + H - n + 1] == 0.0)
-            assert np.all(m.weight[unmarked : sys_.offsets[2 * k + 2]] == 1.0)
+            assert m.runs[2 * k] == ((0, H - n + 1, 0.0), (H - n + 1, H, 1.0))
+            assert m.runs[2 * k + 1] == ((0, H, 1.0),)
 
     def test_noise_variant_mismatch(self):
         s = derive_schedule_thm1(DESK_THM1, 2)
@@ -204,11 +232,21 @@ class TestBuildCounterexample:
     def test_thm2_weights(self):
         s = derive_schedule("thm2", DESK_THM2, 6)
         m = build_counterexample(s)
-        for k, d in enumerate(s.d):
-            seg = m.weight[m.system.offsets[k] : m.system.offsets[k + 1]]
-            assert np.all(seg == d)
+        for k, (H, d) in enumerate(zip(s.H, s.d)):
+            assert m.runs[k] == ((0, H, d),)
         # remainder tower carries weight 0
-        assert np.all(m.weight[m.system.offsets[6] :] == 0.0)
+        assert m.runs[6] == ((0, s.remainder_height, 0.0),)
+
+    @pytest.mark.parametrize("runs", [
+        (((0, 2, 0.0),), ((0, 3, 1.0),)),  # tower 0 ends at 2 of 3 levels
+        (((0, 2, 0.0),),),  # no runs for tower 1
+        (((0, 1, 0.0), (2, 3, 1.0)), ((0, 3, 1.0),)),  # a gap
+        (((0, 0, 0.0), (0, 3, 1.0)), ((0, 3, 1.0),)),  # an empty run
+    ])
+    def test_runs_must_cover_each_tower(self, runs):
+        sys_ = build_tower_system([TowerSpec(3, 0.5), TowerSpec(3, 0.5)])
+        with pytest.raises(ValueError):
+            ProcessModel("thm1", sys_, LatticeNoise(1.0), runs)
 
     def test_sigma2_thm1(self):
         s = derive_schedule_thm1(DESK_THM1, 3)

@@ -39,6 +39,8 @@ from slowclt.distributions import (
     two_interval_sum_probability,
 )
 
+from helpers import runs_of
+
 # Phi(x) frozen from a 25-digit computation
 NORMAL_CDF_REFS = {
     0.0: 0.5,
@@ -116,7 +118,7 @@ class TestSymmetricStepSum:
 def tiny_lattice_model(a=0.5):
     sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
     weight = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-    return ProcessModel("thm1", sys_, LatticeNoise(a), weight)
+    return ProcessModel("thm1", sys_, LatticeNoise(a), runs_of(sys_, weight))
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,8 @@ from slowclt.construction import (
 from slowclt import probes
 from slowclt.probes import ProbeResult, _mds_bin_index, _mds_exact, variance_probe
 
+from helpers import runs_of
+
 DESK_THM3 = RateSequence.power_law(0.25, 0.5)
 
 
@@ -48,7 +50,7 @@ def small_model(a=0.5):
     sys_ = build_tower_system([TowerSpec(7, 0.6), TowerSpec(8, 0.4)])
     weight = np.ones(sys_.n_states)
     weight[0:4] = 0.0
-    return ProcessModel("thm1", sys_, LatticeNoise(a), weight)
+    return ProcessModel("thm1", sys_, LatticeNoise(a), runs_of(sys_, weight))
 
 
 class TestProbeResult:
@@ -197,7 +199,7 @@ class TestMdsConditionalMean:
         if kind == "biased":  # a +-1 law with mean 2q - 1, so w(x_j) E g counts
             q = data.draw(st.floats(0.05, 0.95))
             support = lambda model: [(-1.0, 1.0 - q), (1.0, q)]  # noqa: E731
-        m = ProcessModel("thm1", sys_, noise, weight)
+        m = ProcessModel("thm1", sys_, noise, runs_of(sys_, weight))
         with mock.patch.object(probes, "_noise_support", support):
             r = mds_conditional_mean_test(m, window, filter_coeff=filter_coeff)
             want = _mds_exact(m, window, window // 2, filter_coeff)
@@ -231,7 +233,7 @@ class TestConditionalVarianceFloor:
 
     def test_positive_floor_without_slab(self):
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), np.ones(5))
+        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), runs_of(sys_, np.ones(5)))
         r = conditional_variance_floor(m, depth=1)
         assert r.value == pytest.approx(0.5)
         assert not r.passed

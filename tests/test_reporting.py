@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -365,6 +367,23 @@ class TestCli:
         rc = main(["report", "--config", str(cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("variant, constants", [
+        ("thm1", '{"bogus": 1}'),
+        ("thm2", '{"L1": "x"}'),
+        ("thm1", '[1]'),
+        ("thm3", '{"eps0": -1}'),
+    ])
+    def test_bad_constants_exit_2(self, capsys, variant, constants):
+        assert main(["schedule", "--variant", variant, "--constants", constants]) == 2
+        assert "constant" in capsys.readouterr().err
+
+    def test_wholly_inactive_tower_certifies(self, tmp_path, capsys):
+        # n_0 = 1: the slab A_0 is all of tower 0
+        out = str(tmp_path)
+        assert main(["report", "--variant", "thm1", "--rate-c", "0.1", "--rate-beta", "1",
+                     "--K", "3", "--out", out]) == 0
+        assert main(["verify", os.path.join(out, "report.ndjson")]) == 0
+
     def test_tampered_certificate_exit_code(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["report", "--variant", "iid-baseline", "--out", out]) == 0
@@ -524,3 +543,34 @@ class TestProbeMds:
         main(["probe", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "1",
               "--K", "2", "mds", "--mc-reps", "20000"])
         assert json.loads(capsys.readouterr().out)["method"] == "monte-carlo"
+
+
+# Linux carries a process's peak resident set size across fork and exec, so
+# a child of the test process would report the test process's peak.  A small
+# launcher runs `slowclt report` and then `slowclt verify` as its children and
+# prints, for each, the exit code, the wall time and the children's peak
+# ru_maxrss (KiB on Linux).
+K5_LAUNCHER = """
+import resource, subprocess, sys, time
+out = sys.argv[1]
+for args in (["report", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "0.5",
+              "--K", "5", "--out", out], ["verify", out + "/report.ndjson"]):
+    t0 = time.monotonic()
+    rc = subprocess.run([sys.executable, "-m", "slowclt.cli"] + args,
+                        stdout=subprocess.DEVNULL).returncode
+    print(rc, time.monotonic() - t0, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_thm1_k5_certifies_under_1gb(tmp_path):
+    # n_4 = 4096 on 5.5e8 states: every cost must follow the runs, not the states
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", K5_LAUNCHER, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        rc, seconds, maxrss_kib = line.split()
+        assert rc == "0" and float(seconds) < 30.0 and int(maxrss_kib) < 1 << 20
+    assert len(proc.stdout.splitlines()) == 2

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowclt import (
@@ -17,12 +17,13 @@ from slowclt import (
     TowerSystem,
     build_tower_system,
     occupancy_distribution,
-    sample_trajectory,
     sample_trajectory_batch,
     stationary_measure,
     step_distribution,
 )
-from slowclt.towers import occupancy_by_path_enumeration
+from slowclt.towers import _knots, _window_counts, occupancy_by_path_enumeration
+
+from helpers import intervals_of
 
 
 def small_system():
@@ -104,7 +105,7 @@ class TestStationaryMeasure:
 class TestOccupancy:
     def test_matches_path_enumeration_tall(self):
         sys_ = small_system()
-        active = np.array([True, False, True, True, False])
+        active = intervals_of(sys_, [True, False, True, True, False])
         occ = occupancy_distribution(sys_, active, 2)
         ref = occupancy_by_path_enumeration(sys_, active, 2)
         assert np.allclose(occ.probs, ref, atol=1e-12)
@@ -112,7 +113,7 @@ class TestOccupancy:
     def test_matches_path_enumeration_short_towers(self):
         # window longer than every height: starts cross several tower tops
         sys_ = small_system()
-        active = np.array([True, False, False, True, False])
+        active = intervals_of(sys_, [True, False, False, True, False])
         for n in (4, 5, 6):
             occ = occupancy_distribution(sys_, active, n)
             ref = occupancy_by_path_enumeration(sys_, active, n)
@@ -120,16 +121,26 @@ class TestOccupancy:
 
     def test_all_active_is_deterministic(self):
         sys_ = small_system()
-        occ = occupancy_distribution(sys_, np.ones(5, dtype=bool), 3)
+        occ = occupancy_distribution(sys_, intervals_of(sys_, np.ones(5, dtype=bool)), 3)
         assert occ.probs[-1] == pytest.approx(1.0)
 
-    def test_callable_active_set(self):
+    def test_base_levels_as_intervals(self):
         sys_ = small_system()
-        occ = occupancy_distribution(sys_, lambda s: s.level == 0, 2)
+        occ = occupancy_distribution(sys_, [[(0, 1)], [(0, 1)]], 2)
         ref = occupancy_by_path_enumeration(
-            sys_, np.array([True, False, True, False, False]), 2
+            sys_, intervals_of(sys_, [True, False, True, False, False]), 2
         )
         assert np.allclose(occ.probs, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("active", [
+        [[(0, 1)]],  # one list for two towers
+        [[(0, 0)], []],  # empty interval
+        [[(1, 2), (0, 1)], []],  # out of order
+        [[], [(2, 4)]],  # past the top of a 3-level tower
+    ])
+    def test_bad_intervals_rejected(self, active):
+        with pytest.raises(ValueError):
+            occupancy_distribution(small_system(), active, 2)
 
     def test_mean_occupancy_is_n_times_active_mass(self):
         # stationarity: E[#active visits in n steps] = n * mu(active)
@@ -139,7 +150,7 @@ class TestOccupancy:
         active = np.zeros(sys_.n_states, dtype=bool)
         active[0] = active[6] = active[13] = True
         mu_active = float(sys_.stationary_array()[active].sum())
-        occ = occupancy_distribution(sys_, active, 3)
+        occ = occupancy_distribution(sys_, intervals_of(sys_, active), 3)
         mean = float(np.dot(np.arange(4), occ.probs))
         assert mean == pytest.approx(3 * mu_active, abs=1e-12)
 
@@ -153,7 +164,7 @@ class TestOccupancy:
         )
         active = np.random.default_rng(5).random(sys_.n_states) < 0.4
         n = 200
-        occ = occupancy_distribution(sys_, active, n)
+        occ = occupancy_distribution(sys_, intervals_of(sys_, active), n)
         joint = sys_.stationary_array() * active
         mu_active = float(joint.sum())
         second = n * mu_active
@@ -181,12 +192,29 @@ class TestOccupancyProperties:
     @given(tower_families(), st.integers(min_value=1, max_value=5), st.randoms())
     def test_occupancy_equals_enumeration(self, specs, n, rnd):
         sys_ = build_tower_system(specs, require_aperiodic=False)
-        active = np.array([rnd.random() < 0.5 for _ in range(sys_.n_states)])
+        active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
         occ = occupancy_distribution(sys_, active, n)
         ref = occupancy_by_path_enumeration(sys_, active, n)
         assert np.allclose(occ.probs, ref, atol=1e-10)
         assert occ.probs.sum() == pytest.approx(1.0)
         assert np.all(occ.probs >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=3), st.integers(0, 10**4),
+           st.floats(0.0, 1.0), st.floats(1.0, 2000.0), st.integers(0, 2**32 - 1))
+    @example([3], 0, 1.0, 1.0, 0)  # the last start range ends at the last state
+    def test_window_counts_equal_bincount(self, heights, n, density, mean_run, seed):
+        # towers of active and inactive runs of geometric lengths
+        n = 1 + n % max(heights)
+        sys_ = build_tower_system([TowerSpec(h, 1.0 / len(heights)) for h in heights])
+        rng = np.random.default_rng(seed)
+        lengths = rng.geometric(1.0 / mean_run, size=sys_.n_states)
+        flat = np.repeat(rng.random(sys_.n_states) < density, lengths)[: sys_.n_states]
+        hist = _window_counts(sys_, _knots(sys_, intervals_of(sys_, flat)), n)
+        for d, (a0, h) in enumerate(zip(sys_.offsets, heights)):
+            pref = np.concatenate([[0], np.cumsum(flat[a0 : a0 + h])])
+            want = np.bincount(pref[n:] - pref[: max(h - n + 1, 0)], minlength=n + 1)
+            assert np.array_equal(hist[d], want)
 
     @settings(max_examples=40, deadline=None)
     @given(tower_families())
@@ -197,31 +225,27 @@ class TestOccupancyProperties:
 
 
 class TestSampling:
-    def test_trajectory_obeys_dynamics(self):
-        sys_ = small_system()
-        traj = sample_trajectory(sys_, seed=3, n=200)
-        for s, t in zip(traj, traj[1:]):
-            if s.level < sys_.towers[s.tower].height - 1:
-                assert t == TowerState(s.tower, s.level + 1)
-            else:
-                assert t.level == 0
-
-    def test_trajectory_deterministic_per_seed(self):
-        sys_ = small_system()
-        assert sample_trajectory(sys_, 11, 50) == sample_trajectory(sys_, 11, 50)
-        assert sample_trajectory(sys_, 11, 50) != sample_trajectory(sys_, 12, 50)
-
     def test_batch_deterministic_and_stationary(self):
         sys_ = small_system()
         t1, l1 = sample_trajectory_batch(sys_, seed=5, n=4, reps=20000)
         t2, l2 = sample_trajectory_batch(sys_, seed=5, n=4, reps=20000)
         assert np.array_equal(t1, t2) and np.array_equal(l1, l2)
+        t3, l3 = sample_trajectory_batch(sys_, seed=6, n=4, reps=20000)
+        assert not (np.array_equal(t1, t3) and np.array_equal(l1, l3))
         # marginal at every time slot close to the stationary law
         pi = sys_.stationary_array()
         for t in range(4):
             idx = sys_.offsets[t1[:, t]] + l1[:, t]
             freq = np.bincount(idx, minlength=5) / len(idx)
             assert np.max(np.abs(freq - pi)) < 0.02
+
+    def test_start_is_the_draw_of_choice(self):
+        # one uniform per start, read as rng.choice(n_states, p=pi) reads it
+        sys_ = build_tower_system([TowerSpec(3, 0.2), TowerSpec(7, 0.3), TowerSpec(50, 0.5)])
+        tw, lv = sample_trajectory_batch(sys_, seed=2, n=1, reps=5000)
+        rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
+        want = rng.choice(sys_.n_states, p=sys_.stationary_array(), size=5000)
+        assert np.array_equal(sys_.offsets[tw[:, 0]] + lv[:, 0], want)
 
     def test_batch_obeys_dynamics(self):
         sys_ = small_system()
