@@ -69,14 +69,16 @@ class RateSequence:
 def _smallest_n_with_rate_below(
     a: RateSequence, threshold: float, lo: int, cap: int
 ) -> int:
-    """Smallest n >= lo with a_n <= threshold, scanning by doubling + bisection.
+    """Smallest n in [lo, cap] with a_n <= threshold, scanning by doubling +
+    bisection; ScheduleInfeasible when there is none.
 
     The comparison carries a 1e-12 relative slack so exact ties (e.g. a
     power-law rate meeting a dyadic threshold on the nose) are accepted
     despite floating-point rounding.
     """
     tol = threshold * (1.0 + 1e-12)
-
+    if lo > cap:
+        raise ScheduleInfeasible(f"search_cap {cap} is below the smallest n left to probe, {lo}")
     if a(lo) <= tol:
         return lo
     hi = lo

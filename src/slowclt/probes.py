@@ -396,15 +396,31 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
         beta(m) = sum_l lambda_l [max(0, H_l - m)(1 - lambda_l)
                                   + sum_{m-H_l <= a < m} TV_a],  TV_{a<0} = 0.
 
-    u is computed in blocks of min(H), since each block depends only on
-    earlier ones; the prefix sums of |u - 1/mu| and of TV restart at each
-    chunk, and only the last max(H) values of u and TV are carried over.
+    u is advanced by a two-level recursion, each slice-add reading only
+    values already complete.  With the heights sorted, h_(0) <= h_(1) <=
+    ..., the towers of height below h_(j) are short and the rest long, for
+    the split j in [0, K) that minimises (K - j) / h_(j) + j / h_(0), the
+    first on ties; j = 0 makes every tower long.  Outer blocks of length
+    h_(j) add each long tower once, then sub-blocks of length h_(0) inside
+    the block add each short tower once.  So u(t) sums the long towers in
+    tower order, then the short towers in tower order; when the short
+    towers are a suffix of the tower order (the remainder alone, which
+    tower_chain_system appends last) this is the plain tower-order sum.  A
+    chunk of C lags costs about C ((K - j) / h_(j) + j / h_(0)) slice-adds,
+    against C K / h_(0) for blocks of min(H) alone.  The prefix sums of
+    |u - 1/mu| and of TV restart at each chunk, and only the last max(H)
+    values of u and TV are carried over.
     """
     H = sys.heights
     lam = sys.level_masses
     r = sys.landing
     inv_mu = 1.0 / float(np.dot(r, H))
     W, B = int(H.max()), int(H.min())
+    hs = np.sort(H)
+    K = len(hs)
+    L = int(hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])])
+    long_ = [(rd, hd) for rd, hd in zip(r, H) if hd >= L]
+    short = [(rd, hd) for rd, hd in zip(r, H) if hd < L]
     # lags per chunk: at least max(H), so the carried history fits, and at
     # least 1024, so short towers do not cost a numpy call per few lags
     C = max(W, 1024)
@@ -414,10 +430,14 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
     ages = np.arange(C)
     m0 = 0
     while True:
-        for t0 in range(W, W + C, B):
-            t1 = min(t0 + B, W + C)
-            for rd, hd in zip(r, H):
+        for t0 in range(W, W + C, L):
+            t1 = min(t0 + L, W + C)
+            for rd, hd in long_:
                 u[t0:t1] += rd * u[t0 - hd : t1 - hd]
+            for s0 in range(t0, t1, B):
+                s1 = min(s0 + B, t1)
+                for rd, hd in short:
+                    u[s0:s1] += rd * u[s0 - hd : s1 - hd]
         err = np.concatenate([[0.0], np.cumsum(np.abs(u - inv_mu))])
         tv[W:] = 0.0
         for rd, hd in zip(r, H):
@@ -426,8 +446,10 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
         tail = np.concatenate([[0.0], np.cumsum(tv)])
         beta = np.zeros(C)
         for lm, hl in zip(lam, H):
-            deterministic = np.maximum(hl - m0 - ages, 0) * (1.0 - lm)
-            beta += lm * (deterministic + tail[W : W + C] - tail[W - hl : W + C - hl])
+            a = tail[W : W + C]
+            if m0 < hl:  # the deterministic term max(0, H_l - m)(1 - lambda_l)
+                a = np.maximum(hl - m0 - ages, 0) * (1.0 - lm) + a
+            beta += lm * (a - tail[W - hl : W + C - hl])
         yield m0, beta
         m0 += C
         u[:W], tv[:W] = u[C:], tv[C:]

@@ -237,8 +237,10 @@ def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistrib
     end).  A window is cut at the first tower top it leaves: the part before
     is read off the start tower's prefix counts, and the r steps after start
     on a base drawn from the landing row, whatever the tower left, so their
-    count law land[r] is one table for every start.  Windows that leave no
-    top are counted per segment of their start.  O(R log R + K n^2).
+    count law land is one table for every start, its n rows of r + 1
+    entries packed as a lower triangle.  Windows that leave no top are
+    counted per segment of their start.  O(R log R + K n^2) time, n^2/2
+    floats.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -249,16 +251,18 @@ def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistrib
     # head[d, r] = active levels among the first r of tower d, r <= min(h_d, n)
     r = np.minimum(np.arange(n + 1), sys.heights[:, None])
     head = _prefix(knots, base[:, None] + r) - below[:-1, None]
-    # land[r, c] = P(c active steps among r steps from a landed base)
-    land = np.zeros((n, n + 1))
-    land[0, 0] = 1.0
+    # land[at[r] + c] = P(c active steps among r steps from a landed base):
+    # rows r < n of c <= r entries, packed as a lower triangle
+    at = [r * (r + 1) // 2 for r in range(n + 1)]
+    land = np.zeros(at[n])
+    land[0] = 1.0
     for r in range(1, n):
         for p, pref, c, h in zip(sys.landing, head, full, heights):
             if h >= r:
-                land[r, pref[r]] += p
+                land[at[r] + pref[r]] += p
             else:
                 # a full pass through the tower, then a fresh landing
-                land[r, c : c + r - h + 1] += p * land[r - h, : r - h + 1]
+                land[at[r] + c : at[r] + c + r - h + 1] += p * land[at[r - h] : at[r - h + 1]]
     windows = _window_counts(sys, knots, n)  # starts that never reach the top
     occ = np.zeros(n + 1)
     for a0, b0, h, c, w, hist in zip(base, below, heights, full, sys.level_masses, windows):
@@ -267,7 +271,7 @@ def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistrib
         tail = c - (_prefix(knots, a0 + np.arange(j0, h)) - b0)
         for j, cj in zip(range(j0, h), tail.tolist()):
             r = n - h + j
-            occ[cj : cj + r + 1] += w * land[r, : r + 1]
+            occ[cj : cj + r + 1] += w * land[at[r] : at[r + 1]]
     return OccupancyDistribution(window=n, probs=occ / occ.sum())
 
 

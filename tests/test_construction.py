@@ -74,6 +74,14 @@ class TestScheduleThm1:
         with pytest.raises(ScheduleInfeasible):
             derive_schedule_thm1(slow, 2, search_cap=10**4)
 
+    def test_search_cap_bounds_every_n(self):
+        # a_1 = 0.01 meets the first two thresholds at n = 1, 2; n_2 >= 3
+        # would pass the cap
+        a = RateSequence.power_law(0.01, 1.0)
+        assert derive_schedule_thm1(a, 2, search_cap=2).n == (1, 2)
+        with pytest.raises(ScheduleInfeasible, match="search_cap 2"):
+            derive_schedule_thm1(a, 3, search_cap=2)
+
 
 class TestScheduleThm3:
     def test_desk_instance(self):

@@ -200,14 +200,15 @@ class TestIntervalProbability:
         r2 = _interval_probability_grid(cs, u, step / 2)
         assert abs(r1.value - r2.value) < r1.error
 
-    def test_monte_carlo_agrees_with_grid(self):
+    def test_monte_carlo_agrees_with_exact_rational(self):
         cs, u = [1.0, 1.0, 1.0], 1.2
-        grid = interval_probability(cs, u, target_error=1e-6)
+        exact = two_interval_sum_probability(3, Fraction(6, 5))
+        assert exact == Fraction(723, 1000)
         reps = 10**6
         g = TwoIntervalUniformNoise().sample(np.random.default_rng(3), (reps, len(cs)))
         est = float(np.mean(np.abs(g @ np.array(cs)) <= u))
         radius = 4.0 * math.sqrt(max(est * (1.0 - est), 1.0 / reps) / reps)
-        assert abs(est - grid.value) <= radius + grid.error
+        assert abs(est - float(exact)) <= radius
 
     def test_budget_exceeded_without_fallback(self):
         from slowclt import BudgetExceeded

@@ -297,6 +297,79 @@ class TestMixing:
             M = np.linalg.matrix_power(P, lag)
             assert abs(got - float(pi @ (0.5 * np.abs(M - pi).sum(axis=1)))) <= 1e-12
 
+    @staticmethod
+    def _beta_reference(sys_, n_lags):
+        """beta(0 .. n_lags - 1) from u(t) = sum_d r_d u(t - H_d) advanced one
+        lag at a time, summed in tower order.  The assembly of beta mirrors
+        the stream's (prefix sums restarting at each chunk of max(max H, 1024)
+        lags, the deterministic term at every lag), so its floats equal the
+        stream's whenever the stream's u does; test_stream_equals_dense_matrix
+        _powers checks what beta means."""
+        H, r, lam = sys_.heights, sys_.landing, sys_.level_masses
+        W = int(H.max())
+        C = max(W, 1024)
+        T = -(-n_lags // C) * C
+        u = [0.0] * W + [1.0] + [0.0] * (T - 1)  # u[W + t] = u(t)
+        pairs = [(float(rd), int(hd)) for rd, hd in zip(r, H)]
+        for t in range(W, W + T):
+            for rd, hd in pairs:
+                u[t] = u[t] + rd * u[t - hd]
+        u = np.array(u)
+        inv_mu = 1.0 / float(np.dot(r, H))
+        tv = np.zeros(W + T)  # tv[W + a] = TV_a
+        ages = np.arange(C)
+        out = []
+        for m0 in range(0, T, C):
+            err = np.concatenate([[0.0], np.cumsum(np.abs(u[m0 : m0 + W + C] - inv_mu))])
+            chunk = np.zeros(C)
+            for rd, hd in zip(r, H):
+                chunk += rd * (err[W + 1 :] - err[W + 1 - hd : W + C + 1 - hd])
+            tv[m0 + W : m0 + W + C] = 0.5 * chunk
+            tail = np.concatenate([[0.0], np.cumsum(tv[m0 : m0 + W + C])])
+            beta = np.zeros(C)
+            for lm, hl in zip(lam, H):
+                deterministic = np.maximum(hl - m0 - ages, 0) * (1.0 - lm)
+                beta += lm * (deterministic + tail[W : W + C] - tail[W - hl : W + C - hl])
+            out.append(beta)
+        return np.concatenate(out)[:n_lags]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 8), st.floats(0.05, 1.0)), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(20, 300), st.floats(0.05, 1.0)), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    @example([(3, 0.2)], [(20, 0.5), (300, 0.3)], None)  # short tower last
+    @example([(1, 0.2), (8, 0.1)], [(20, 0.5), (257, 0.3)], None)  # 1 short, 8 long
+    def test_stream_equals_tower_order_reference(self, short, tall, rnd):
+        towers = tall + short
+        if rnd is not None:
+            rnd.shuffle(towers)
+        total = sum(w for _, w in towers)
+        sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
+        # every lag of the first two chunks and past the second boundary
+        # covers every outer-block, sub-block and chunk boundary
+        n_lags = 2 * max(int(sys_.heights.max()), 1024) + 2
+        got = np.array(mixing_profile(sys_, range(n_lags)).beta)
+        want = self._beta_reference(sys_, n_lags)
+        # the stream sums u over the long towers, then the short ones, each
+        # in tower order: the tower-order sum when the short ones come last
+        K, hs = len(towers), np.sort(sys_.heights)
+        split = hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])]
+        is_short = list(sys_.heights < split)
+        if is_short == sorted(is_short):
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_desk_stream_is_the_tower_order_reference_bitwise(self):
+        s = derive_schedule_thm3(DESK_THM3, 3)
+        chain = tower_chain_system(s)
+        lags = mixing_probe(chain, s).details["m_lags"]
+        n_lags = lags[-1] + 1
+        got = np.array(mixing_profile(chain, range(n_lags)).beta)
+        assert np.array_equal(got, self._beta_reference(chain, n_lags))
+
     @pytest.mark.parametrize("K, lags, betas", [
         (3, [63457, 79887, 96347],
          [0.04999813414135996, 0.024999611619852903, 0.012499966125398469]),

@@ -377,6 +377,12 @@ class TestCli:
         assert main(["schedule", "--variant", variant, "--constants", constants]) == 2
         assert "constant" in capsys.readouterr().err
 
+    def test_search_cap_below_schedule_exit_2(self, capsys):
+        assert main(["schedule", "--variant", "thm1", "--rate-c", "0.01", "--rate-beta", "1",
+                     "--K", "3", "--constants", '{"search_cap": 2}']) == 2
+        captured = capsys.readouterr()
+        assert "search_cap 2" in captured.err and captured.out == ""
+
     def test_wholly_inactive_tower_certifies(self, tmp_path, capsys):
         # n_0 = 1: the slab A_0 is all of tower 0
         out = str(tmp_path)
