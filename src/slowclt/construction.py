@@ -9,6 +9,7 @@ constant on runs of levels, so that the observable is weight(state) * g.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -498,22 +499,18 @@ def density_of_f(model: ProcessModel, tail_mass: float = 1e-12):
     k_max = 0
     while 2.0 ** (-k_max / 2.0) > tail_mass:
         k_max += 1
-    edges = set()
+    bands = []
     for k in range(k_max):
         p_k = GEOM_BASE * 2.0 ** (-k / 2.0)
-        d_k = p_k / (L1 if k % 2 == 0 else L2)
-        edges.update((d_k / 2.0, d_k))
-    pos = sorted(edges)
-    vals = []
-    for lo, hi in zip(pos, pos[1:]):
-        mid = 0.5 * (lo + hi)
-        v = 0.0
-        for k in range(k_max):
-            p_k = GEOM_BASE * 2.0 ** (-k / 2.0)
-            d_k = p_k / (L1 if k % 2 == 0 else L2)
-            if d_k / 2.0 <= mid < d_k:
-                v += p_k / d_k  # equals L1 or L2
-        vals.append(v)
+        bands.append((p_k, p_k / (L1 if k % 2 == 0 else L2)))
+    pos = sorted({x for _, d_k in bands for x in (d_k / 2.0, d_k)})
+    mids = [0.5 * (lo + hi) for lo, hi in zip(pos, pos[1:])]
+    vals = [0.0] * len(mids)
+    # band k covers the intervals whose mid lies in [d_k/2, d_k); adding the
+    # bands in k order keeps each interval's sum in the order of the k loop
+    for p_k, d_k in bands:
+        for i in range(bisect.bisect_left(mids, d_k / 2.0), bisect.bisect_left(mids, d_k)):
+            vals[i] += p_k / d_k  # equals L1 or L2
     # first interval [pos[0]/?]: below the smallest emitted band it is tail
     bps = np.array([-x for x in reversed(pos)] + pos)
     values = np.array(list(reversed(vals)) + [0.0] + vals)

@@ -2,10 +2,12 @@
 
 Lattice laws are exact mixtures of noise convolutions conditioned on the
 occupancy count.  The density probe's b_n = P(|g_1+...+g_n| <= sqrt(n)) is
-bracketed in rational arithmetic through the Binomial x Irwin-Hall form of
-the noise sum; general interval probabilities use a grid convolution whose
-error is tracked through the Kolmogorov-distance subadditivity of
-independent convolution.
+bracketed in rational arithmetic: the Binomial x Irwin-Hall form of the
+noise sum regroups into one CDF sum over O(n) distinct Irwin-Hall points,
+weighted by the coefficients of (1 + y^3)^n (1 - y)^n, and the symmetry of
+the sum leaves only its lower tail to evaluate.  General interval
+probabilities use a grid convolution whose error is tracked through the
+Kolmogorov-distance subadditivity of independent convolution.
 """
 
 from __future__ import annotations
@@ -213,13 +215,31 @@ def interval_probability(
     return _interval_probability_grid(cs, u, step)
 
 
-def _irwin_hall_cdf_scaled(n: int, X: int, Q: int) -> int:
-    """n! Q^n P(U_1 + ... + U_n <= X/Q) for i.i.d. U(0, 1), as an integer."""
-    if X <= 0:
-        return 0
-    if X >= n * Q:
-        return math.factorial(n) * Q**n
-    return sum((-1) ** k * math.comb(n, k) * (X - k * Q) ** n for k in range(X // Q + 1))
+def _tail_coefficients(n: int) -> list[int]:
+    """d_0, ..., d_{2n-1}, the low half of (1 + y^3)^n (1 - y)^n = sum_e d_e y^e.
+
+    P = (1 + y^3)^n (1 - y)^n solves (1 - y)(1 + y^3) P' = n (-1 + 3y^2 - 4y^3) P,
+    whose coefficients give (m + 1) d_{m+1} = (m - n) d_m + (3n - m + 2) d_{m-2}
+    + (m - 3 - 4n) d_{m-3} with d_0 = 1; every division is exact.
+    """
+    d = [0, 0, 0, 1]  # d_{-3}, d_{-2}, d_{-1}, d_0
+    for m in range(2 * n - 1):
+        d.append(((m - n) * d[m + 3] + (3 * n - m + 2) * d[m + 1]
+                  + (m - 3 - 4 * n) * d[m]) // (m + 1))
+    return d[3:]
+
+
+def _two_interval_from_table(n: int, d: list[int], u):
+    """two_interval_sum_probability(n, u) from d = _tail_coefficients(n)."""
+    from fractions import Fraction
+
+    # 2u = U2/Q, so with i = 2n - e each term is d_e (iQ - U2)^n / Q^n, an
+    # integer over Q^n, and it is nonzero for the i > 2u
+    Q = u.denominator
+    U2 = 2 * u.numerator
+    scale = 2**n * math.factorial(n) * Q**n
+    tail = sum(d[2 * n - i] * (i * Q - U2) ** n for i in range(U2 // Q + 1, 2 * n + 1))
+    return Fraction(scale - 2 * tail, scale)
 
 
 def two_interval_sum_probability(n: int, u):
@@ -228,8 +248,16 @@ def two_interval_sum_probability(n: int, u):
     g = s (3/4 + V) with a fair sign s and V ~ U(-1/4, 1/4), and s V has the
     law of V, so S_n = (3/4)(2J - n) + (IH_n - n/2)/2 with J ~ Bin(n, 1/2)
     and IH_n the Irwin-Hall sum of n uniforms on [0, 1] (Irwin 1927; Hall
-    1927), independent of J.  Given J = j, |S_n| <= u is the event
-    IH_n in [n/2 - 2u - 3(2j - n)/2, n/2 + 2u - 3(2j - n)/2].
+    1927), independent of J.  Given J = j, S_n < -u is the event IH_n <
+    2n - 3j - 2u, and n! P(IH_n <= x) = sum_k (-1)^k C(n, k) (x - k)_+^n.
+    Grouping the double sum over j and k by e = 3j + k gives one CDF sum
+
+        2^n n! P(S_n < -u) = sum_e d_e (2n - e - 2u)_+^n,
+        d_e = [y^e] (1 + y^3)^n (1 - y)^n,
+
+    over the e < 2n - 2u.  S_n is symmetric with a density, so P(|S_n| <= u)
+    = 1 - 2 P(S_n < -u).  The arithmetic is in integers, so the Fraction is
+    exact.
     """
     from fractions import Fraction
 
@@ -238,17 +266,7 @@ def two_interval_sum_probability(n: int, u):
     u = Fraction(u)
     if u < 0:
         raise ValueError("u must be >= 0")
-    # every Irwin-Hall argument is X/Q with X an integer: the interval's
-    # centre n/2 - 3(2j - n)/2 = 2n - 3j is an integer and 2u = U2/Q
-    Q = u.denominator
-    U2 = 2 * u.numerator
-    total = 0
-    for j in range(n + 1):
-        centre = (2 * n - 3 * j) * Q
-        inside = (_irwin_hall_cdf_scaled(n, centre + U2, Q)
-                  - _irwin_hall_cdf_scaled(n, centre - U2, Q))
-        total += math.comb(n, j) * inside
-    return Fraction(total, 2**n * math.factorial(n) * Q**n)
+    return _two_interval_from_table(n, _tail_coefficients(n), u)
 
 
 ROOT_N_BITS = 64  # sqrt(n) is bracketed between multiples of 2^-64
@@ -259,20 +277,22 @@ def root_n_interval_bracket(n: int):
 
     The probability is non-decreasing in u, so it is bracketed by its values
     at u_lo = isqrt(n 4^64)/2^64 <= sqrt(n) and u_lo + 2^-64 > sqrt(n); for
-    a perfect square n both ends are the exact value at u = isqrt(n).
+    a perfect square n both ends are the exact value at u = isqrt(n).  The
+    coefficient table depends on n alone, so both ends share it.
     """
     from fractions import Fraction
 
     if n < 1:
         raise ValueError("n must be >= 1")
+    d = _tail_coefficients(n)
     r = math.isqrt(n)
     if r * r == n:
-        v = two_interval_sum_probability(n, r)
+        v = _two_interval_from_table(n, d, Fraction(r))
         return v, v
     scale = 1 << ROOT_N_BITS
     u_lo = Fraction(math.isqrt(n * scale * scale), scale)
-    return (two_interval_sum_probability(n, u_lo),
-            two_interval_sum_probability(n, u_lo + Fraction(1, scale)))
+    return (_two_interval_from_table(n, d, u_lo),
+            _two_interval_from_table(n, d, u_lo + Fraction(1, scale)))
 
 
 def root_n_interval_probability(n: int) -> IntervalProbability:

@@ -481,14 +481,17 @@ def _mixing_lags(sys: TowerSystem, eps: Sequence[float]) -> tuple[list[int], lis
 def mixing_profile(sys: TowerSystem, lags: Sequence[int]) -> MixingProfile:
     """Exact beta(n) of the tower chain; alpha(n) <= beta(n) is reported."""
     lags = tuple(int(n) for n in lags)
-    if any(n < 0 for n in lags):
+    want = np.sort(np.asarray(lags, dtype=np.int64))
+    if want.size and want[0] < 0:
         raise ValueError("lags must be >= 0")
-    found: dict[int, float] = {}
+    # each chunk fills the slice of the sorted lags it covers
+    found = np.empty(len(want))
     for m0, chunk in _beta_chunks(sys):
-        if m0 > max(lags, default=-1):
+        lo, hi = np.searchsorted(want, [m0, m0 + len(chunk)])
+        found[lo:hi] = chunk[want[lo:hi] - m0]
+        if hi == len(want):
             break
-        found.update({n: float(chunk[n - m0]) for n in lags if m0 <= n < m0 + len(chunk)})
-    betas = tuple(found[n] for n in lags)
+    betas = tuple(found[np.searchsorted(want, lags)].tolist())
     return MixingProfile(
         lags=lags,
         beta=betas,

@@ -30,8 +30,10 @@ from slowclt import (
 )
 from slowclt.construction import LatticeNoise, ProcessModel, TwoIntervalUniformNoise
 from slowclt.distributions import (
+    ROOT_N_BITS,
     TWO_INTERVAL_VARIANCE,
     _interval_probability_grid,
+    _tail_coefficients,
     lattice_sum_by_path_enumeration,
     root_n_interval_bracket,
     root_n_interval_probability,
@@ -275,6 +277,70 @@ class TestRootNIntervalProbability:
             two_interval_sum_probability(3, Fraction(-1, 2))
         with pytest.raises(ValueError):
             root_n_interval_bracket(0)
+
+
+def _reference_two_interval(n, u):
+    """P(|g_1 + ... + g_n| <= u) as the Binomial x Irwin-Hall double sum: for
+    each J = j the Irwin-Hall CDF difference over [2n - 3j - 2u, 2n - 3j + 2u],
+    every CDF an alternating sum of up to n powers."""
+    Q, U2 = u.denominator, 2 * u.numerator
+
+    def cdf_scaled(X):  # n! Q^n P(IH_n <= X/Q)
+        if X <= 0:
+            return 0
+        if X >= n * Q:
+            return math.factorial(n) * Q**n
+        return sum((-1) ** k * math.comb(n, k) * (X - k * Q) ** n for k in range(X // Q + 1))
+
+    total = sum(math.comb(n, j) * (cdf_scaled((2 * n - 3 * j) * Q + U2)
+                                   - cdf_scaled((2 * n - 3 * j) * Q - U2))
+                for j in range(n + 1))
+    return Fraction(total, 2**n * math.factorial(n) * Q**n)
+
+
+def _reference_bracket(n):
+    r = math.isqrt(n)
+    if r * r == n:
+        v = _reference_two_interval(n, Fraction(r))
+        return v, v
+    scale = 1 << ROOT_N_BITS
+    u_lo = Fraction(math.isqrt(n * scale * scale), scale)
+    return _reference_two_interval(n, u_lo), _reference_two_interval(n, u_lo + Fraction(1, scale))
+
+
+@st.composite
+def _n_and_u(draw):
+    n = draw(st.integers(1, 30))
+    q = draw(st.integers(1, 2**64))
+    u = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(0, 4 * n).map(lambda m: Fraction(m, 2)),  # the Irwin-Hall knots
+        st.integers(0, 2 * n * q).map(lambda m: Fraction(m, q)),
+        st.integers(0, 2 * n * q).map(lambda m: Fraction(3 * n, 2) + Fraction(m, q)),
+    ))
+    return n, u
+
+
+class TestSingleCdfSum:
+    """The one CDF sum over the Irwin-Hall points against the per-j double sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_n_and_u())
+    def test_equals_per_j_irwin_hall_sum(self, nu):
+        n, u = nu
+        assert two_interval_sum_probability(n, u) == _reference_two_interval(n, u)
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_coefficients_expand_the_product(self, n):
+        # [y^e] (1 + y^3)^n (1 - y)^n = sum over 3j + k = e of C(n, j) (-1)^k C(n, k)
+        direct = [sum(math.comb(n, j) * (-1) ** (e - 3 * j) * math.comb(n, e - 3 * j)
+                      for j in range(e // 3 + 1))
+                  for e in range(2 * n)]
+        assert _tail_coefficients(n) == direct
+
+    @pytest.mark.parametrize("n", [26, 50, 51, 100, 101])
+    def test_bracket_equals_reference(self, n):
+        assert root_n_interval_bracket(n) == _reference_bracket(n)
 
 
 class TestKolmogorovDistance:

@@ -282,6 +282,17 @@ class TestThm2Verify:
         path.write_text(_mutate(thm2_certificate, name, k, change))
         assert main(["verify", str(path)]) == 1
 
+    def test_frontier_k14_round_trip(self, tmp_path, capsys):
+        # n_13 = 200 is not a square, so b_200 is bracketed at two ends
+        cfg = desk_config(variant="thm2", rate={"family": "power-law", "c": 0.05, "beta": 1.0},
+                          K=14)
+        bundle = run_experiment(cfg)
+        assert bundle.schedule.n[13] == 200
+        assert bundle.all_passed
+        path = write_report(bundle, str(tmp_path))["ndjson"]
+        assert _rederived(verify_certificate(path)) == _probe_labels(open(path).read().splitlines())
+        assert main(["verify", path]) == 0
+
     def test_missing_detail_is_parse_error(self, thm2_certificate, tmp_path):
         def drop(rec):
             del rec["details"]["b_n"]
