@@ -39,11 +39,9 @@ from .errors import (
     ConfigError,
     DegenerateModel,
     EvenIndex,
-    InvalidState,
     LatticeMismatch,
     MassSumError,
     ParseError,
-    PeriodicityError,
     ScheduleInfeasible,
     SlowCltError,
     VariantMismatch,
@@ -53,7 +51,6 @@ from .probes import (
     ProbeResult,
     clt_probe,
     conditional_variance_floor,
-    find_mixing_lag,
     gnedenko_baseline,
     llt_probe_density,
     llt_probe_lattice,
@@ -71,13 +68,10 @@ from .reporting import (
 from .towers import (
     OccupancyDistribution,
     TowerSpec,
-    TowerState,
     TowerSystem,
     build_tower_system,
     occupancy_distribution,
     sample_trajectory_batch,
-    stationary_measure,
-    step_distribution,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,7 +36,6 @@ class RateSequence:
     def __init__(self, evaluator: Callable[[int], float], descriptor: Optional[dict] = None):
         self._eval = evaluator
         self.descriptor = descriptor or {"family": "custom"}
-        self._queried: dict[int, float] = {}
 
     def __call__(self, n: int) -> float:
         if n < 1:
@@ -44,12 +43,7 @@ class RateSequence:
         a = float(self._eval(n))
         if a <= 0.0:
             raise ValueError(f"a_{n} = {a} must be positive")
-        self._queried[n] = a
         return a
-
-    def check_monotone(self, ns: Sequence[int]) -> bool:
-        vals = [self(n) for n in sorted(ns)]
-        return all(x >= y for x, y in zip(vals, vals[1:]))
 
     @staticmethod
     def power_law(c: float, beta: float) -> "RateSequence":
@@ -64,7 +58,8 @@ class RateSequence:
     def from_descriptor(desc: dict) -> "RateSequence":
         if desc.get("family") == "power-law":
             return RateSequence.power_law(float(desc["c"]), float(desc["beta"]))
-        raise ValueError(f"unknown rate family {desc.get('family')!r}")
+        raise ValueError(f"unknown rate family {desc.get('family')!r}: only a power-law rate "
+                         "can be rebuilt from its descriptor, as the probes and verify do")
 
 
 def _smallest_n_with_rate_below(
@@ -134,6 +129,7 @@ def derive_schedule_thm1(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    RateSequence.from_descriptor(a.descriptor)  # refuse a rate the probes cannot rebuild
     ns, hs, ds, rhos, ps = [], [], [], [], []
     prev = 0
     for k in range(K):
@@ -182,6 +178,7 @@ def derive_schedule_thm2(
     """Density-variant schedule with the geometric tower-mass family."""
     if K < 2:
         raise ValueError("K must be >= 2")
+    RateSequence.from_descriptor(a.descriptor)  # refuse a rate the probes cannot rebuild
     if L2 < 10.0 * L1:
         raise BadConstants(f"need L2 >= 10*L1, got L1={L1}, L2={L2}")
     ps = [GEOM_BASE * 2.0 ** (-k / 2.0) for k in range(K)]
@@ -244,6 +241,7 @@ def derive_schedule_thm3(
     """Mixing-variant schedule: p_k >= 4 a_{n_k}, H_k >= 4 n_k^2, gcd(H) = 1."""
     if K < 2:
         raise ValueError("K must be >= 2")
+    RateSequence.from_descriptor(a.descriptor)  # refuse a rate the probes cannot rebuild
     caps = [2.0 ** (-k / 2.0) / (2.0 * SQRT2) for k in range(K)]
     scale = min(1.0, 0.96 / sum(caps))
     caps = [scale * t for t in caps]

@@ -57,12 +57,6 @@ class LatticeDistribution:
         m = self.mean()
         return float(np.dot((self.support - m) ** 2, self.probs))
 
-    def convolve(self, other: "LatticeDistribution") -> "LatticeDistribution":
-        return LatticeDistribution(
-            offset=self.offset + other.offset,
-            probs=np.convolve(self.probs, other.probs),
-        )
-
 
 @dataclass(frozen=True)
 class PiecewiseDensity:
@@ -89,12 +83,6 @@ class PiecewiseDensity:
     def max_value(self) -> float:
         return float(np.max(self.values))
 
-    def evaluate(self, x: float) -> float:
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        if 0 <= i < len(self.values):
-            return float(self.values[i])
-        return 0.0
-
 
 @dataclass(frozen=True)
 class IntervalProbability:
@@ -108,17 +96,10 @@ class IntervalProbability:
     def lower(self) -> float:
         return max(0.0, self.value - self.error)
 
-    @property
-    def upper(self) -> float:
-        return min(1.0, self.value + self.error)
-
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function, absolute error < 1e-15."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-TWO_INTERVAL_VARIANCE = 7.0 / 12.0  # Var of the +-[1/2,1] uniform noise
 
 
 def symmetric_step_sum(a: float, m: int) -> LatticeDistribution:

@@ -10,14 +10,6 @@ class MassSumError(SlowCltError):
     """Tower masses do not sum to 1 within tolerance."""
 
 
-class PeriodicityError(SlowCltError):
-    """Aperiodicity was required but gcd of tower heights exceeds 1."""
-
-
-class InvalidState(SlowCltError):
-    """A tower state lies outside the system's state space."""
-
-
 # construction
 class ScheduleInfeasible(SlowCltError):
     """No admissible probe times found within the search bound."""

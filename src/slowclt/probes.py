@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .construction import ProcessModel, Schedule, intersection_lower_bound
+from .construction import ProcessModel, RateSequence, Schedule, intersection_lower_bound
 from .distributions import (
     LatticeDistribution,
     kolmogorov_distance,
@@ -49,13 +49,10 @@ class ProbeResult:
 class MixingProfile:
     lags: tuple[int, ...]
     beta: tuple[float, ...]
-    alpha_upper: tuple[float, ...]
     aperiodic: bool
 
 
 def _rate_at(sched: Schedule, k: int) -> float:
-    from .construction import RateSequence
-
     a = RateSequence.from_descriptor(sched.rate_descriptor)
     return a(sched.n[k])
 
@@ -231,7 +228,7 @@ def mds_conditional_mean_test(
             name="mds", index=window, value=_mds_tower_level(model, j, filter_coeff),
             bound=1e-12, direction="<=", method="exact",
         )
-    value, worst_se, nbins = _mds_mc(model, window, j, reps, seed, filter_coeff)
+    value, nbins = _mds_mc(model, window, j, reps, seed, filter_coeff)
     return ProbeResult(
         name="mds", index=window, value=value, bound=4.0,
         direction="<=", method="monte-carlo", error=0.0,
@@ -348,7 +345,7 @@ def _mds_mc(model, window, j, reps, seed, filter_coeff):
             continue
         used += 1
         worst = max(worst, abs(mean) / se)
-    return worst, 0.0, used
+    return worst, used
 
 
 def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
@@ -479,7 +476,7 @@ def _mixing_lags(sys: TowerSystem, eps: Sequence[float]) -> tuple[list[int], lis
 
 
 def mixing_profile(sys: TowerSystem, lags: Sequence[int]) -> MixingProfile:
-    """Exact beta(n) of the tower chain; alpha(n) <= beta(n) is reported."""
+    """Exact beta(n) of the tower chain at each lag, an upper bound on alpha(n)."""
     lags = tuple(int(n) for n in lags)
     want = np.sort(np.asarray(lags, dtype=np.int64))
     if want.size and want[0] < 0:
@@ -491,19 +488,11 @@ def mixing_profile(sys: TowerSystem, lags: Sequence[int]) -> MixingProfile:
         found[lo:hi] = chunk[want[lo:hi] - m0]
         if hi == len(want):
             break
-    betas = tuple(found[np.searchsorted(want, lags)].tolist())
     return MixingProfile(
         lags=lags,
-        beta=betas,
-        alpha_upper=betas,
+        beta=tuple(found[np.searchsorted(want, lags)].tolist()),
         aperiodic=sys.is_aperiodic(),
     )
-
-
-def find_mixing_lag(sys: TowerSystem, eps: float) -> Optional[int]:
-    """Smallest lag in [1, LAG_CAP] with beta(lag) <= eps, or None."""
-    lags, _ = _mixing_lags(sys, [eps])
-    return lags[0] if lags else None
 
 
 def mixing_probe(sys: TowerSystem, sched: Schedule) -> ProbeResult:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidState, MassSumError, PeriodicityError
+from .errors import MassSumError
 
 MASS_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
@@ -34,12 +34,6 @@ class TowerSpec:
             raise ValueError(f"tower height must be >= 1, got {self.height}")
         if not (0.0 < self.mass <= 1.0):
             raise ValueError(f"tower mass must lie in (0, 1], got {self.mass}")
-
-
-@dataclass(frozen=True)
-class TowerState:
-    tower: int
-    level: int
 
 
 @dataclass(frozen=True)
@@ -77,37 +71,12 @@ class TowerSystem:
         self.offsets = np.concatenate([[0], np.cumsum(self.heights)])
         self.n_states = int(self.offsets[-1])
 
-    # -- state indexing -------------------------------------------------
-
-    def state_index(self, s: TowerState) -> int:
-        self._check_state(s)
-        return int(self.offsets[s.tower]) + s.level
-
-    def states(self) -> Iterable[TowerState]:
-        for l, t in enumerate(self.towers):
-            for j in range(t.height):
-                yield TowerState(l, j)
-
-    def _check_state(self, s: TowerState):
-        if not (0 <= s.tower < len(self.towers)):
-            raise InvalidState(f"tower index {s.tower} out of range")
-        if not (0 <= s.level < self.towers[s.tower].height):
-            raise InvalidState(
-                f"level {s.level} out of range for tower {s.tower} "
-                f"(height {self.towers[s.tower].height})"
-            )
-
-    # -- measure and dynamics -------------------------------------------
-
     def stationary_array(self) -> np.ndarray:
         """Stationary probability of every state, flat-indexed (small systems)."""
         return np.repeat(self.level_masses, self.heights)
 
-    def gcd_heights(self) -> int:
-        return math.gcd(*[t.height for t in self.towers])
-
     def is_aperiodic(self) -> bool:
-        return self.gcd_heights() == 1
+        return math.gcd(*[t.height for t in self.towers]) == 1
 
     def push_forward(self, dist: np.ndarray) -> np.ndarray:
         """One step of the dynamics applied to a flat state distribution."""
@@ -117,30 +86,8 @@ class TowerSystem:
         return out
 
 
-def build_tower_system(
-    specs: Sequence[TowerSpec], require_aperiodic: bool = False
-) -> TowerSystem:
-    total = sum(s.mass for s in specs)
-    if abs(total - 1.0) > MASS_TOL:
-        raise MassSumError(f"tower masses sum to {total!r}, not 1")
-    if require_aperiodic:
-        g = math.gcd(*[s.height for s in specs])
-        if g > 1:
-            raise PeriodicityError(f"gcd of tower heights is {g}, need 1")
+def build_tower_system(specs: Sequence[TowerSpec]) -> TowerSystem:
     return TowerSystem(specs)
-
-
-def stationary_measure(sys: TowerSystem) -> dict[TowerState, float]:
-    pi = sys.stationary_array()
-    return {s: float(pi[sys.state_index(s)]) for s in sys.states()}
-
-
-def step_distribution(sys: TowerSystem, s: TowerState) -> dict[TowerState, float]:
-    sys._check_state(s)
-    h = sys.towers[s.tower].height
-    if s.level < h - 1:
-        return {TowerState(s.tower, s.level + 1): 1.0}
-    return {TowerState(d, 0): float(p) for d, p in enumerate(sys.landing) if p > 0.0}
 
 
 def sample_trajectory_batch(

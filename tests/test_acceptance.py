@@ -20,7 +20,6 @@ from slowclt import (
     density_of_f,
     derive_schedule,
     gnedenko_baseline,
-    interval_probability,
     intersection_lower_bound,
     kolmogorov_distance,
     lattice_sum_distribution,
@@ -37,7 +36,7 @@ from slowclt.construction import (
     TwoIntervalUniformNoise,
     tower_chain_system,
 )
-from slowclt.distributions import lattice_sum_by_path_enumeration
+from slowclt.distributions import lattice_sum_by_path_enumeration, root_n_interval_probability
 from slowclt.reporting import ExperimentConfig
 
 from helpers import runs_of
@@ -149,13 +148,13 @@ def test_criterion_05_thm2_structure(thm2):
 
 
 def test_criterion_06_thm2_ratio_probe(thm2):
-    """(b p_k/(2 d_k)) sigma >= L at odd k, grid b to 1e-6, MC cross-check."""
+    """(b p_k/(2 d_k)) sigma >= L at odd k, exact-rational b to 1e-6, MC cross-check."""
     t0 = time.monotonic()
     sched, model = thm2
     k = 1
     n = sched.n[k]
-    b = interval_probability([1.0] * n, math.sqrt(n), target_error=1e-6)
-    assert b.method == "grid" and b.error <= 1e-6
+    b = root_n_interval_probability(n)
+    assert b.method == "exact-rational" and b.error <= 1e-6
     sigma = math.sqrt(model.sigma2)
     value = b.lower * sched.p[k] / (2.0 * sched.d[k]) * sigma
     assert value >= sched.constants["L"]
@@ -168,7 +167,7 @@ def test_criterion_06_thm2_ratio_probe(thm2):
     assert abs(est - b.value) <= 4.0 * se + b.error
     assert time.monotonic() - t0 < 300.0
     print(f"ACCEPTANCE 6: PASS - ratio {value:.3f} >= L = {sched.constants['L']}, "
-          f"grid/MC gap {abs(est - b.value):.2e} <= 4 se")
+          f"exact/MC gap {abs(est - b.value):.2e} <= 4 se")
 
 
 def test_criterion_07_strong_mds(thm1, thm3):

@@ -7,6 +7,7 @@ either fails here rather than only when the benchmark runs.
 """
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,25 @@ def test_selftest_exits_0():
     proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_names_resolve():
+    # every slowclt.<name> chain and every `from slowclt... import` name the
+    # benchmark files use, including those reached only on an error path
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        text = path.read_text()
+        chains = re.findall(r"\bslowclt((?:\.[A-Za-z_]\w*)+)", text)
+        for mod, names in re.findall(r"^\s*from (slowclt[\w.]*) import ([\w, ]+)", text, re.M):
+            chains += [f"{mod[len('slowclt'):]}.{name.strip()}" for name in names.split(",")]
+        for chain in chains:
+            obj = slowclt
+            for attr in chain.split(".")[1:]:
+                if not hasattr(obj, attr):
+                    missing.append(f"{path.name}: slowclt{chain}")
+                    break
+                obj = getattr(obj, attr)
+    assert not missing, missing
 
 
 def _tracing():

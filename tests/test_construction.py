@@ -47,8 +47,12 @@ class TestRateSequence:
         b = RateSequence.from_descriptor(a.descriptor)
         assert b(37) == a(37)
 
-    def test_monotone_check(self):
-        assert RateSequence.power_law(1.0, 0.5).check_monotone([1, 5, 20])
+    @pytest.mark.parametrize("variant, K", [("thm1", 1), ("thm2", 2), ("thm3", 2)])
+    def test_custom_rate_rejected_at_schedule(self, variant, K):
+        # the probes and verify rebuild a_n from the schedule's descriptor
+        custom = RateSequence(lambda n: 0.5 / math.sqrt(n))
+        with pytest.raises(ValueError, match="unknown rate family 'custom'"):
+            derive_schedule(variant, custom, K)
 
 
 class TestScheduleThm1:
@@ -70,7 +74,7 @@ class TestScheduleThm1:
             assert n * n * level_mass <= rho * d * (1 + 1e-12)
 
     def test_infeasible_rate(self):
-        slow = RateSequence(lambda n: 0.4, {"family": "custom"})
+        slow = RateSequence.power_law(0.4, 1e-6)
         with pytest.raises(ScheduleInfeasible):
             derive_schedule_thm1(slow, 2, search_cap=10**4)
 

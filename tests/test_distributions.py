@@ -31,7 +31,6 @@ from slowclt import (
 from slowclt.construction import LatticeNoise, ProcessModel, TwoIntervalUniformNoise
 from slowclt.distributions import (
     ROOT_N_BITS,
-    TWO_INTERVAL_VARIANCE,
     _interval_probability_grid,
     _tail_coefficients,
     lattice_sum_by_path_enumeration,
@@ -85,17 +84,6 @@ class TestLatticeDistribution:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             LatticeDistribution(0, np.array([0.5, 0.4]))
-
-    def test_convolution_against_enumeration(self):
-        a = LatticeDistribution(-1, np.array([0.3, 0.3, 0.4]))
-        b = LatticeDistribution(0, np.array([0.6, 0.4]))
-        c = a.convolve(b)
-        ref = {}
-        for i, pa in zip(a.support, a.probs):
-            for j, pb in zip(b.support, b.probs):
-                ref[i + j] = ref.get(i + j, 0.0) + pa * pb
-        for v, p in zip(c.support, c.probs):
-            assert p == pytest.approx(ref.get(int(v), 0.0), abs=1e-15)
 
 
 class TestSymmetricStepSum:
@@ -223,7 +211,7 @@ class TestIntervalProbability:
         x = TwoIntervalUniformNoise().sample(rng, 200_000)
         assert np.all((np.abs(x) >= 0.5) & (np.abs(x) <= 1.0))
         assert abs(x.mean()) < 0.005
-        assert abs(x.var() - TWO_INTERVAL_VARIANCE) < 0.005
+        assert abs(x.var() - TwoIntervalUniformNoise().variance) < 0.005
 
 
 class TestRootNIntervalProbability:

@@ -21,7 +21,6 @@ from slowclt import (
     clt_probe,
     conditional_variance_floor,
     derive_schedule,
-    find_mixing_lag,
     gnedenko_baseline,
     llt_probe_density,
     llt_probe_lattice,
@@ -38,7 +37,7 @@ from slowclt.construction import (
     tower_chain_system,
 )
 from slowclt import probes
-from slowclt.probes import ProbeResult, _mds_bin_index, _mds_exact, variance_probe
+from slowclt.probes import ProbeResult, _mds_bin_index, _mds_exact, _mixing_lags, variance_probe
 
 from helpers import runs_of
 
@@ -268,11 +267,10 @@ class TestMixing:
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
         prof = mixing_profile(sys_, [200])
         assert prof.beta[0] < 1e-6
-        assert prof.alpha_upper == prof.beta
 
-    def test_find_mixing_lag_is_minimal(self):
+    def test_first_mixing_lag_is_minimal(self):
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-        m = find_mixing_lag(sys_, 1e-3)
+        (m,), _ = _mixing_lags(sys_, [1e-3])
         prof = mixing_profile(sys_, [m - 1, m])
         assert prof.beta[0] > 1e-3 >= prof.beta[1]
 

@@ -8,18 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowclt import (
-    InvalidState,
     MassSumError,
     OccupancyDistribution,
-    PeriodicityError,
     TowerSpec,
-    TowerState,
     TowerSystem,
     build_tower_system,
     occupancy_distribution,
     sample_trajectory_batch,
-    stationary_measure,
-    step_distribution,
 )
 from slowclt.towers import _knots, _window_counts, occupancy_by_path_enumeration
 
@@ -52,12 +47,6 @@ class TestBuildTowerSystem:
         pi = sys_.stationary_array()
         assert abs(pi.sum() - 1.0) < 1e-14
 
-    def test_periodic_family_rejected_when_required(self):
-        with pytest.raises(PeriodicityError):
-            build_tower_system(
-                [TowerSpec(2, 0.5), TowerSpec(4, 0.5)], require_aperiodic=True
-            )
-
     def test_periodic_family_allowed_by_default(self):
         sys_ = build_tower_system([TowerSpec(2, 0.5), TowerSpec(4, 0.5)])
         assert not sys_.is_aperiodic()
@@ -66,40 +55,34 @@ class TestBuildTowerSystem:
 class TestStationaryMeasure:
     def test_level_masses(self):
         sys_ = small_system()
-        mu = stationary_measure(sys_)
-        assert mu[TowerState(0, 0)] == pytest.approx(0.2)
-        assert mu[TowerState(1, 2)] == pytest.approx(0.2)
-        assert sum(mu.values()) == pytest.approx(1.0)
+        pi = sys_.stationary_array()
+        assert pi == pytest.approx([0.2] * 5)
+        assert pi.sum() == pytest.approx(1.0)
 
     def test_invariance_under_push_forward(self):
         sys_ = small_system()
         pi = sys_.stationary_array()
         assert np.allclose(sys_.push_forward(pi), pi, atol=1e-15)
 
-    def test_step_distribution_interior_and_top(self):
-        sys_ = small_system()
-        assert step_distribution(sys_, TowerState(1, 0)) == {TowerState(1, 1): 1.0}
-        top = step_distribution(sys_, TowerState(0, 1))
-        assert set(top) == {TowerState(0, 0), TowerState(1, 0)}
-        assert sum(top.values()) == pytest.approx(1.0)
+    def test_push_forward_interior_and_top(self):
+        sys_ = small_system()  # flat states: tower 0 is 0, 1; tower 1 is 2, 3, 4
+        # an interior level climbs one level with probability 1
+        assert sys_.push_forward(np.eye(5)[2]).tolist() == np.eye(5)[3].tolist()
+        # a top lands on the bases 0 and 2 only
+        top = sys_.push_forward(np.eye(5)[1])
+        assert np.flatnonzero(top).tolist() == [0, 2]
+        assert top.sum() == pytest.approx(1.0)
 
     def test_default_top_row_is_source_independent(self):
         sys_ = small_system()
-        # both tops (levels 1 of tower 0 and 2 of tower 1) land by the same row
-        from_0 = step_distribution(sys_, TowerState(0, 1))
-        from_1 = step_distribution(sys_, TowerState(1, 2))
-        assert from_0 == from_1 == {TowerState(d, 0): p for d, p in enumerate(sys_.landing)}
+        # both tops (flat states 1 and 4) land by the same row
+        from_0 = sys_.push_forward(np.eye(5)[1])
+        from_1 = sys_.push_forward(np.eye(5)[4])
+        assert from_0.tolist() == from_1.tolist() == [sys_.landing[0], 0, sys_.landing[1], 0, 0]
         # row entries proportional to mass/height (base-level masses)
         row = sys_.landing
         assert row[0] == pytest.approx(0.2 / 0.4)
         assert row[1] == pytest.approx(0.2 / 0.4)
-
-    def test_invalid_state_rejected(self):
-        sys_ = small_system()
-        with pytest.raises(InvalidState):
-            sys_.state_index(TowerState(0, 2))
-        with pytest.raises(InvalidState):
-            sys_.state_index(TowerState(2, 0))
 
 
 class TestOccupancy:
@@ -191,7 +174,7 @@ class TestOccupancyProperties:
     @settings(max_examples=40, deadline=None)
     @given(tower_families(), st.integers(min_value=1, max_value=5), st.randoms())
     def test_occupancy_equals_enumeration(self, specs, n, rnd):
-        sys_ = build_tower_system(specs, require_aperiodic=False)
+        sys_ = build_tower_system(specs)
         active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
         occ = occupancy_distribution(sys_, active, n)
         ref = occupancy_by_path_enumeration(sys_, active, n)
@@ -219,7 +202,7 @@ class TestOccupancyProperties:
     @settings(max_examples=40, deadline=None)
     @given(tower_families())
     def test_stationarity(self, specs):
-        sys_ = build_tower_system(specs, require_aperiodic=False)
+        sys_ = build_tower_system(specs)
         pi = sys_.stationary_array()
         assert np.allclose(sys_.push_forward(pi), pi, atol=1e-12)
 
