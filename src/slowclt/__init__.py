@@ -28,6 +28,7 @@ from .distributions import (
     interval_probability,
     kolmogorov_distance,
     lattice_sum_distribution,
+    lattice_sum_distributions,
     normal_cdf,
     sample_partial_sums,
     symmetric_step_sum,
@@ -52,6 +53,7 @@ from .probes import (
     clt_probe,
     conditional_variance_floor,
     gnedenko_baseline,
+    gnedenko_baselines,
     llt_probe_density,
     llt_probe_lattice,
     mds_conditional_mean_test,
@@ -71,6 +73,7 @@ from .towers import (
     TowerSystem,
     build_tower_system,
     occupancy_distribution,
+    occupancy_distributions,
     sample_trajectory_batch,
 )
 

@@ -20,7 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, VariantMismatch
-from .towers import enumerate_paths, occupancy_distribution, sample_trajectory_batch
+from .towers import (
+    enumerate_paths,
+    occupancy_distribution,
+    occupancy_distributions,
+    sample_trajectory_batch,
+)
 
 NORMALIZATION_TOL = 1e-12
 
@@ -115,25 +120,47 @@ def symmetric_step_sum(a: float, m: int) -> LatticeDistribution:
     return LatticeDistribution(offset=-m, probs=probs)
 
 
-def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
-    """Exact law of the n-step partial sum of a lattice model: the mixture over
-    the occupancy count m of the m-fold noise convolution, which is advanced
-    by one kernel step per m, so only one noise law is held at a time."""
+def _active(model) -> list[list[tuple[int, int]]]:
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice_sum_distribution needs a lattice model")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    active = [[(s, e) for s, e, v in tower if v > 0.5] for tower in model.runs]
-    occ = occupancy_distribution(model.system, active, n)
-    a = model.noise.a
-    kernel = np.array([a / 2.0, 1.0 - a, a / 2.0])
+    return [[(s, e) for s, e, v in tower if v > 0.5] for tower in model.runs]
+
+
+def _mixtures(a: float, occs) -> list[LatticeDistribution]:
+    """The law of S_n for each occupancy law: the mixture over the count m of
+    the m-fold noise law, from one chain of noise laws up to the largest
+    window.  At a = 1 the kernel's middle tap is 0, so each m-fold law lives
+    on every other point: the chain runs on that sublattice with kernel
+    [1/2, 1/2], and each parity class of S_n is summed in its own array.
+    Only exact zeros are left out, so the laws are the same to the bit."""
+    step = 2 if a == 1.0 else 1
+    kernel = np.array([a / 2.0, 1.0 - a, a / 2.0])[::step]
+    # part[x % step, x // step] = P(S_n = x - n)
+    parts = [np.zeros((step, 2 * occ.window // step + 1)) for occ in occs]
     law = np.array([1.0])
-    probs = np.zeros(2 * n + 1)
-    for m, w in enumerate(occ.probs):
-        if w != 0.0:
-            probs[n - m : n + m + 1] += w * law
+    for m in range(max(occ.window for occ in occs) + 1):
+        for occ, part in zip(occs, parts):
+            x = occ.window - m
+            if x >= 0 and occ.probs[m] != 0.0:
+                part[x % step, x // step : x // step + len(law)] += occ.probs[m] * law
         law = np.convolve(law, kernel)
-    return LatticeDistribution(offset=-n, probs=probs)
+    return [LatticeDistribution(-occ.window, part.T.ravel()[: 2 * occ.window + 1])
+            for occ, part in zip(occs, parts)]
+
+
+def lattice_sum_distributions(model, windows) -> list[LatticeDistribution]:
+    """Exact laws of the n-step partial sums of a lattice model at each window
+    n: one pass of occupancy_distributions and one noise chain serve them
+    all, each law the same to the bit as lattice_sum_distribution at its n.
+    O(K N^2) time, N the largest window."""
+    return _mixtures(model.noise.a, occupancy_distributions(model.system, _active(model), windows))
+
+
+def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
+    """Exact law of the n-step partial sum of a lattice model: the mixture over
+    the occupancy count m (occupancy_distribution at n) of the m-fold noise
+    law.  O(K n^2) time; memory is the occupancy ring's."""
+    return _mixtures(model.noise.a, [occupancy_distribution(model.system, _active(model), n)])[0]
 
 
 def lattice_sum_by_path_enumeration(model, n: int) -> LatticeDistribution:
@@ -351,19 +378,16 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kolmogorov_distance(dist: LatticeDistribution, sigma: float, n: int) -> float:
-    """sup_x |P(S_n <= x sigma sqrt(n)) - Phi(x)|, exact at the lattice jumps."""
+    """sup_x |P(S_n <= x sigma sqrt(n)) - Phi(x)|, exact at the lattice jumps:
+    the CDF at and just below each support point against Phi there."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    scale = sigma * math.sqrt(n)
-    cdf = np.cumsum(dist.probs)
-    best = 0.0
-    for i, v in enumerate(dist.support):
-        phi = normal_cdf(v / scale)
-        lo = cdf[i - 1] if i > 0 else 0.0
-        best = max(best, abs(cdf[i] - phi), abs(lo - phi))
-    return float(best)
+    cdf = np.cumsum(np.concatenate([[0.0], dist.probs]))  # P(S_n < v), then P(S_n <= v)
+    # one math.erfc per point: numpy has no erfc
+    phi = np.array([normal_cdf(x) for x in (dist.support / (sigma * math.sqrt(n))).tolist()])
+    return float(max(np.abs(cdf[1:] - phi).max(), np.abs(cdf[:-1] - phi).max()))
 
 
 def sample_partial_sums(model, n: int, reps: int, seed: int) -> np.ndarray:

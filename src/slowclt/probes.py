@@ -526,34 +526,40 @@ def gnedenko_baseline(step_law: LatticeDistribution, b: float, h: float, n: int)
     on {b + N h}; the i.i.d. contrast for the lattice point-probability
     limit theorem.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    return gnedenko_baselines(step_law, b, [(n, h)])[0]
+
+
+def gnedenko_baselines(step_law: LatticeDistribution, b: float, cases) -> list[float]:
+    """gnedenko_baseline(step_law, b, h, n) for each (n, h) of cases, from one
+    convolution chain up to the largest n.  The sup runs over every lattice
+    point b n + N h inside the support range, with one math.exp per point."""
     var = step_law.variance()
     if var <= 0:
         raise LatticeMismatch("step law must have positive variance")
     pts = step_law.support[step_law.probs > 1e-300]
-    ratios = (pts - b) / h
-    if np.max(np.abs(ratios - np.round(ratios))) > 1e-9:
-        raise LatticeMismatch(f"support not contained in {{{b} + N*{h}}}")
-    m = step_law.mean()
-    sigma = math.sqrt(var)
-    probs = step_law.probs
-    acc = np.array([1.0])
-    off = 0
-    for _ in range(n):
-        acc = np.convolve(acc, probs)
-        off += step_law.offset
-    scale = sigma * math.sqrt(n)
-    worst = 0.0
-    support = off + np.arange(len(acc))
-    # every lattice point b*n + N*h inside the support range
-    lo = math.floor((support[0] - n * b) / h)
-    hi = math.ceil((support[-1] - n * b) / h)
-    for N in range(lo, hi + 1):
-        s = n * b + N * h
-        i = int(round(s)) - off
-        p = acc[i] if 0 <= i < len(acc) else 0.0
+    for n, h in cases:
+        if n < 1 or h <= 0:
+            raise ValueError(f"need n >= 1 and a positive span h, got n={n}, h={h}")
+        ratios = (pts - b) / h
+        if np.max(np.abs(ratios - np.round(ratios))) > 1e-9:
+            raise LatticeMismatch(f"support not contained in {{{b} + N*{h}}}")
+    m, sigma = step_law.mean(), math.sqrt(var)
+    need = {n for n, _ in cases}  # the n-fold laws to keep
+    acc, laws = np.array([1.0]), {}
+    for k in range(1, max(need) + 1):
+        acc = np.convolve(acc, step_law.probs)
+        if k in need:
+            laws[k] = acc
+    out = []
+    for n, h in cases:
+        acc, off = laws[n], n * step_law.offset
+        scale = sigma * math.sqrt(n)
+        lo = math.floor((off - n * b) / h)
+        hi = math.ceil((off + len(acc) - 1 - n * b) / h)
+        s = n * b + np.arange(lo, hi + 1) * h
+        i = np.rint(s).astype(np.int64) - off
+        p = np.where((i >= 0) & (i < len(acc)), acc.take(i, mode="clip"), 0.0)
         z = (s - n * m) / scale
-        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        worst = max(worst, abs(scale / h * p - phi))
-    return worst
+        phi = np.array([math.exp(v) for v in (-0.5 * z * z).tolist()]) / math.sqrt(2.0 * math.pi)
+        out.append(float(np.abs(scale / h * p - phi).max()))
+    return out

@@ -30,7 +30,7 @@ from .construction import (
     derive_schedule,
     tower_chain_system,
 )
-from .distributions import LatticeDistribution, lattice_sum_distribution
+from .distributions import LatticeDistribution, lattice_sum_distributions
 from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
 from . import probes as pr
 
@@ -133,8 +133,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     model = build_counterexample(sched)
     results: list[pr.ProbeResult] = []
     if config.variant in ("thm1", "thm3"):
-        for k in range(sched.K):
-            dist = lattice_sum_distribution(model, sched.n[k])
+        for k, dist in enumerate(lattice_sum_distributions(model, sched.n)):
             results.append(pr.llt_probe_lattice(model, sched, k, dist=dist))
             results.append(pr.clt_probe(model, sched, k, dist=dist))
         results.append(pr.variance_probe(model))
@@ -173,9 +172,8 @@ def _run_baseline(config: ExperimentConfig) -> list[pr.ProbeResult]:
     """Three sanity probes on the i.i.d. +-1 coin contrast."""
     coin = LatticeDistribution(-1, np.array([0.5, 0.0, 0.5]))
     results = []
-    values = []
-    for n in (100, 200, 400):
-        values.append(pr.gnedenko_baseline(coin, b=-1.0, h=2.0, n=n))
+    *values, bad = pr.gnedenko_baselines(
+        coin, -1.0, [(100, 2.0), (200, 2.0), (400, 2.0), (400, 1.0)])
     # maximal span: the normalized point probabilities converge, so the sup
     # deviation decreases along the doubling sequence
     results.append(pr.ProbeResult(
@@ -189,7 +187,6 @@ def _run_baseline(config: ExperimentConfig) -> list[pr.ProbeResult]:
     ))
     # non-maximal span h = 1: half the lattice points carry no mass, so the
     # deviation stalls near the normal density at 0
-    bad = pr.gnedenko_baseline(coin, b=-1.0, h=1.0, n=400)
     results.append(pr.ProbeResult(
         name="baseline-bad-span", index=400, value=bad, bound=0.1,
         direction=">=", method="exact",

@@ -44,8 +44,12 @@ class OccupancyDistribution:
     probs: np.ndarray  # index m in [0, window]
 
     def __post_init__(self):
-        assert len(self.probs) == self.window + 1
-        assert abs(float(np.sum(self.probs)) - 1.0) < CONSISTENCY_TOL
+        if len(self.probs) != self.window + 1:
+            raise ValueError(f"a window of {self.window} needs {self.window + 1} "
+                             f"probabilities, got {len(self.probs)}")
+        total = float(np.sum(self.probs))
+        if not abs(total - 1.0) < CONSISTENCY_TOL:
+            raise ValueError(f"occupancy probabilities sum to {total!r}, not 1")
 
 
 class TowerSystem:
@@ -177,49 +181,121 @@ def _window_counts(sys: TowerSystem, knots, n: int) -> np.ndarray:
     return hist[:, : n + 1]
 
 
-def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistribution:
-    """Exact law of m = #{0 <= i < n : state_i active}, stationary start.
+BLOCK_ROWS = 64  # the most landing rows made at once: see occupancy_distributions
+
+
+def _tail_segments(sys: TowerSystem, knots, n: int):
+    """Window n's starts that leave a top, as (tower, first row, end row,
+    tail at the first row, active) arrays: start j of tower d reads landing
+    row n - h_d + j in [1, n), shifted by its tail, the active levels from j
+    to the top, constant on an inactive stretch and falling by one per row
+    on an active one."""
+    base, top = sys.offsets[:-1], sys.offsets[1:]
+    first = base + np.maximum(sys.heights - n + 1, 0)  # the start of row 1, or the base
+    cuts = np.unique(np.concatenate([first, top, knots[0]]))
+    d = np.searchsorted(base, cuts[:-1], side="right") - 1
+    keep = cuts[:-1] >= first[d]
+    x0, x1, d = cuts[:-1][keep], cuts[1:][keep], d[keep]
+    p0, p1 = _prefix(knots, np.concatenate([x0, x1])).reshape(2, -1)
+    row = n - top[d]
+    return d, x0 + row, x1 + row, _prefix(knots, top)[d] - p0, p1 - p0 == x1 - x0
+
+
+def occupancy_distributions(sys: TowerSystem, active, windows) -> list[OccupancyDistribution]:
+    """Exact law of m = #{0 <= i < n : state_i active}, stationary start, at
+    each window n, from one pass over the landing rows.
 
     active[l] lists tower l's active levels as R sorted intervals (start,
-    end).  A window is cut at the first tower top it leaves: the part before
-    is read off the start tower's prefix counts, and the r steps after start
-    on a base drawn from the landing row, whatever the tower left, so their
-    count law land is one table for every start, its n rows of r + 1
-    entries packed as a lower triangle.  Windows that leave no top are
-    counted per segment of their start.  O(R log R + K n^2) time, n^2/2
-    floats.
+    end).  A window is cut at the first top it leaves: the part before is
+    read off the start tower's prefix counts; the r steps after, from a base
+    drawn by the one landing row, have the count law land[r] whatever the
+    start.  Windows that leave no top are counted per segment of their start.
+
+    land[r] sums, in tower order, a point for each tower of height >= r and
+    land[r - h_d] shifted by tower d's active count for each shorter one.
+    The rows are made in row order, in blocks of B = min(min H, BLOCK_ROWS)
+    that read only earlier blocks, and each block is added into every
+    window's law as soon as it is made: a summed row segment where a start's
+    shift is constant, a skewed (diagonal) sum along an active run.  A ring
+    of max{h_d < N - 1} + B rows, rounded up to a multiple of B, of
+    N + 1 + B floats holds them, N the largest window; O(R log R + K N^2)
+    time.  No row depends on the windows, so no window's law depends on the
+    others.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    windows = [int(n) for n in windows]
+    if not windows or min(windows) < 1:
+        raise ValueError("need at least one window, each >= 1")
     knots = _knots(sys, active)
-    heights, base = sys.heights.tolist(), sys.offsets[:-1]
+    N = max(windows)
+    heights, landing, w = sys.heights.tolist(), sys.landing.tolist(), sys.level_masses
     below = _prefix(knots, sys.offsets)
     full = np.diff(below).tolist()  # active levels of each tower
-    # head[d, r] = active levels among the first r of tower d, r <= min(h_d, n)
-    r = np.minimum(np.arange(n + 1), sys.heights[:, None])
-    head = _prefix(knots, base[:, None] + r) - below[:-1, None]
-    # land[at[r] + c] = P(c active steps among r steps from a landed base):
-    # rows r < n of c <= r entries, packed as a lower triangle
-    at = [r * (r + 1) // 2 for r in range(n + 1)]
-    land = np.zeros(at[n])
-    land[0] = 1.0
-    for r in range(1, n):
-        for p, pref, c, h in zip(sys.landing, head, full, heights):
-            if h >= r:
-                land[at[r] + pref[r]] += p
-            else:
-                # a full pass through the tower, then a fresh landing
-                land[at[r] + c : at[r] + c + r - h + 1] += p * land[at[r - h] : at[r - h + 1]]
-    windows = _window_counts(sys, knots, n)  # starts that never reach the top
-    occ = np.zeros(n + 1)
-    for a0, b0, h, c, w, hist in zip(base, below, heights, full, sys.level_masses, windows):
-        occ += w * hist
-        j0 = max(0, h - n + 1)
-        tail = c - (_prefix(knots, a0 + np.arange(j0, h)) - b0)
-        for j, cj in zip(range(j0, h), tail.tolist()):
-            r = n - h + j
-            occ[cj : cj + r + 1] += w * land[at[r] : at[r + 1]]
-    return OccupancyDistribution(window=n, probs=occ / occ.sum())
+    # head[d, r] = active levels among the first r of tower d, r <= min(h_d, N - 1)
+    head = _prefix(knots, sys.offsets[:-1, None]
+                   + np.minimum(np.arange(N), sys.heights[:, None])) - below[:-1, None]
+    B = min(min(heights), BLOCK_ROWS)
+    R = -(-max([h for h in heights if h < N - 1], default=0) // B) * B + B
+    W = N + 1 + B
+    # slot r % R holds row r; the columns past N and the B zeros at each end
+    # of flat stay 0, so a skewed view of a block reads zeros past its rows
+    flat = np.zeros(R * W + 2 * B)
+    ring, tmp = flat[B : B + R * W].reshape(R, W), np.empty((B, N))
+    jobs = []  # each window's law so far, and the row segments of its starts
+    for n in windows:
+        occ = (w[:, None] * _window_counts(sys, knots, n)).sum(axis=0)
+        jobs.append((occ, list(zip(*(a.tolist() for a in _tail_segments(sys, knots, n))))))
+    for r0 in range(0, N, B):
+        r1 = min(r0 + B, N)
+        rows = ring[r0 % R : r0 % R + r1 - r0]
+        # a row past h_0 starts with tower 0's pass, written rather than added;
+        # the row its slot held before wrote only columns < r1 - R <= r1 - h_0,
+        # so none of them lies past the pass
+        a = min(max(heights[0] + 1 - r0, 0), r1 - r0)
+        rows[:a, :r1] = 0.0
+        rows[a:, : full[0]] = 0.0
+        for d, (p, h, c) in enumerate(zip(landing, heights, full)):
+            if r0 <= h:  # land inside tower d
+                t1 = min(r1, h + 1)
+                rows[np.arange(t1 - r0), head[d, r0:t1]] += p
+            a = max(r0, h + 1)
+            while a < r1:  # a full pass through tower d, then a fresh landing
+                b = min(r1, a + R - (a - h) % R)  # the rows read stop at the ring's end
+                src = ring[(a - h) % R : (a - h) % R + b - a, : r1 - h]
+                dst = rows[a - r0 : b - r0, c : c + r1 - h]
+                if d == 0:
+                    np.multiply(src, p, out=dst)
+                else:
+                    dst += np.multiply(src, p, out=tmp[: b - a, : r1 - h])
+                a = b
+        if r0 == 0:
+            rows[0, 0] = 1.0
+        sums = {}  # row-segment sums of this block, shared by towers and windows
+        for occ, segs in jobs:
+            for d, ra, rb, t, diag in segs:
+                q0, q1 = max(ra, r0), min(rb, r1)
+                if q0 >= q1:
+                    continue
+                if (q0, q1, diag) not in sums:
+                    if diag:  # row q0 + i lands at t - i + c: sum along diagonals
+                        at = B + q0 % R * W - (q1 - q0 - 1)
+                        view = flat[at : at + (q1 - q0) * (W + 1)].reshape(q1 - q0, W + 1)
+                    else:
+                        view = ring[q0 % R : q0 % R + q1 - q0]
+                    sums[q0, q1, diag] = view[:, :q1].sum(axis=0)
+                if diag:  # the diagonal sum starts where the piece's last row lands
+                    t -= q1 - 1 - ra
+                occ[t : t + q1] += w[d] * sums[q0, q1, diag]
+    return [OccupancyDistribution(window=n, probs=occ / occ.sum())
+            for n, (occ, _) in zip(windows, jobs)]
+
+
+def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistribution:
+    """Exact law of m = #{0 <= i < n : state_i active}, stationary start:
+    occupancy_distributions at the one window n.  The landing rows stream in
+    row order, in blocks of B = min(min H, BLOCK_ROWS), through a ring of
+    about max{h_d < n - 1} + B rows of n + 1 + B floats; O(R log R + K n^2)
+    time."""
+    return occupancy_distributions(sys, active, [n])[0]
 
 
 def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...], float]]:

@@ -25,6 +25,7 @@ from slowclt import (
     interval_probability,
     kolmogorov_distance,
     lattice_sum_distribution,
+    lattice_sum_distributions,
     normal_cdf,
     symmetric_step_sum,
 )
@@ -146,6 +147,30 @@ class TestLatticeSumDistribution:
             est = float(np.mean(sums == v))
             se = math.sqrt(max(p * (1 - p), 1e-9) / reps)
             assert abs(est - p) < 5 * se
+
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_windows_share_a_pass_bit_for_bit(self, thm1_k5_desk, a):
+        # a = 1 runs the noise chain on the sublattice, a = 0.5 on every point
+        model = ProcessModel("thm1", thm1_k5_desk.system, LatticeNoise(a), thm1_k5_desk.runs)
+        windows = [64, 4, 8, 16, 32, 1]
+        for n, law in zip(windows, lattice_sum_distributions(model, windows)):
+            one = lattice_sum_distribution(model, n)
+            assert law.offset == one.offset == -n
+            assert np.array_equal(law.probs, one.probs)
+
+    def test_sublattice_chain_equals_full_kernel(self, thm1_k5_desk):
+        # the a = 1 law against the mixture over the full kernel [1/2, 0, 1/2]
+        from slowclt.towers import occupancy_distribution
+
+        n = 64
+        active = [[(s, e) for s, e, v in t if v > 0.5] for t in thm1_k5_desk.runs]
+        occ = occupancy_distribution(thm1_k5_desk.system, active, n).probs
+        law, want = np.array([1.0]), np.zeros(2 * n + 1)
+        for m, w in enumerate(occ):
+            if w != 0.0:
+                want[n - m : n + m + 1] += w * law
+            law = np.convolve(law, np.array([0.5, 0.0, 0.5]))
+        assert np.array_equal(lattice_sum_distribution(thm1_k5_desk, n).probs, want)
 
     @pytest.mark.parametrize("n, p0, kolmogorov", [
         (4, 0.6516927331686018, 0.32584636658430094),
@@ -352,6 +377,26 @@ class TestKolmogorovDistance:
             dists.append(kolmogorov_distance(LatticeDistribution(-n, p), 1.0, n))
         assert dists[1] < dists[0]
         assert dists[1] <= 0.04
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40).filter(
+            lambda raw: sum(raw) > 0.0),
+        st.integers(min_value=-40, max_value=5),
+        st.floats(min_value=0.05, max_value=3.0),
+        st.integers(min_value=1, max_value=500),
+    )
+    def test_equals_per_point_loop(self, raw, offset, sigma, n):
+        # the array sup against the per-point loop it replaced, to the bit
+        d = LatticeDistribution(offset, np.array(raw) / sum(raw))
+        scale = sigma * math.sqrt(n)
+        cdf = np.cumsum(d.probs)
+        best = 0.0
+        for i, v in enumerate(d.support):
+            phi = normal_cdf(v / scale)
+            lo = cdf[i - 1] if i > 0 else 0.0
+            best = max(best, abs(cdf[i] - phi), abs(lo - phi))
+        assert kolmogorov_distance(d, sigma, n) == float(best)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -22,6 +22,7 @@ from slowclt import (
     conditional_variance_floor,
     derive_schedule,
     gnedenko_baseline,
+    gnedenko_baselines,
     llt_probe_density,
     llt_probe_lattice,
     mds_conditional_mean_test,
@@ -406,6 +407,47 @@ class TestGnedenkoBaseline:
     def test_non_maximal_span_stalls(self):
         for n in (100, 200, 400):
             assert gnedenko_baseline(self.COIN, b=-1.0, h=1.0, n=n) >= 0.1
+
+    @staticmethod
+    def per_point_reference(step_law, b, h, n):
+        # the n-fold chain and per-N loop gnedenko_baseline used before its
+        # sup became array operations
+        m, sigma = step_law.mean(), math.sqrt(step_law.variance())
+        acc, off = np.array([1.0]), 0
+        for _ in range(n):
+            acc = np.convolve(acc, step_law.probs)
+            off += step_law.offset
+        scale = sigma * math.sqrt(n)
+        support = off + np.arange(len(acc))
+        worst = 0.0
+        lo = math.floor((support[0] - n * b) / h)
+        hi = math.ceil((support[-1] - n * b) / h)
+        for N in range(lo, hi + 1):
+            s = n * b + N * h
+            i = int(round(s)) - off
+            p = acc[i] if 0 <= i < len(acc) else 0.0
+            z = (s - n * m) / scale
+            phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            worst = max(worst, abs(scale / h * p - phi))
+        return worst
+
+    CASES = [(100, 2.0), (200, 2.0), (400, 2.0), (400, 1.0)]
+
+    @pytest.mark.parametrize("n, h", CASES)
+    def test_equals_per_point_loop(self, n, h):
+        assert gnedenko_baseline(self.COIN, b=-1.0, h=h, n=n) == self.per_point_reference(
+            self.COIN, -1.0, h, n)
+
+    def test_one_chain_serves_every_case(self):
+        want = [gnedenko_baseline(self.COIN, b=-1.0, h=h, n=n) for n, h in self.CASES]
+        assert gnedenko_baselines(self.COIN, -1.0, self.CASES) == want
+
+    def test_skewed_step_law_equals_per_point_loop(self):
+        # an asymmetric law on {-2, 1, 4}: mean, offset and lattice all nonzero
+        law = LatticeDistribution(-2, np.array([0.3, 0, 0, 0.5, 0, 0, 0.2]))
+        for n in (1, 7, 30):
+            assert gnedenko_baseline(law, b=-2.0, h=3.0, n=n) == self.per_point_reference(
+                law, -2.0, 3.0, n)
 
     def test_wrong_lattice_rejected(self):
         with pytest.raises(LatticeMismatch):

@@ -184,17 +184,23 @@ class TestLatticeLawOnce:
         import slowclt.probes
         import slowclt.reporting
 
+        # every law of S_{n_k} comes from one pass over all windows, and no
+        # probe computes a law again
         calls = []
-        real = slowclt.reporting.lattice_sum_distribution
+        real = slowclt.reporting.lattice_sum_distributions
 
-        def counting(model, n, *args, **kwargs):
+        def counting(model, windows):
+            calls.append(list(windows))
+            return real(model, windows)
+
+        def single(model, n):
             calls.append(n)
-            return real(model, n, *args, **kwargs)
+            raise AssertionError("a probe recomputed the law of S_n")
 
-        monkeypatch.setattr(slowclt.reporting, "lattice_sum_distribution", counting)
-        monkeypatch.setattr(slowclt.probes, "lattice_sum_distribution", counting)
+        monkeypatch.setattr(slowclt.reporting, "lattice_sum_distributions", counting)
+        monkeypatch.setattr(slowclt.probes, "lattice_sum_distribution", single)
         bundle = run_experiment(desk_config(seed=7))
-        assert calls == [16, 64, 256]
+        assert calls == [[16, 64, 256]]
         assert bundle.all_passed
 
 
@@ -569,9 +575,9 @@ class TestProbeMds:
 # ru_maxrss (KiB on Linux).
 K5_LAUNCHER = """
 import resource, subprocess, sys, time
-out = sys.argv[1]
+out, K = sys.argv[1], sys.argv[2]
 for args in (["report", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "0.5",
-              "--K", "5", "--out", out], ["verify", out + "/report.ndjson"]):
+              "--K", K, "--out", out], ["verify", out + "/report.ndjson"]):
     t0 = time.monotonic()
     rc = subprocess.run([sys.executable, "-m", "slowclt.cli"] + args,
                         stdout=subprocess.DEVNULL).returncode
@@ -579,15 +585,27 @@ for args in (["report", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "
 """
 
 
-def test_thm1_k5_certifies_under_1gb(tmp_path):
-    # n_4 = 4096 on 5.5e8 states: every cost must follow the runs, not the states
+def _certify_thm1(tmp_path, K: int) -> list[tuple[str, float, int]]:
+    """(exit code, seconds, children's peak KiB) of report, then of verify."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", K5_LAUNCHER, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", K5_LAUNCHER, str(tmp_path), str(K)],
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    for line in proc.stdout.splitlines():
-        rc, seconds, maxrss_kib = line.split()
-        assert rc == "0" and float(seconds) < 30.0 and int(maxrss_kib) < 1 << 20
-    assert len(proc.stdout.splitlines()) == 2
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert len(lines) == 2
+    return [(rc, float(seconds), int(kib)) for rc, seconds, kib in lines]
+
+
+def test_thm1_k5_certifies_under_1gb(tmp_path):
+    # n_4 = 4096 on 5.5e8 states: every cost must follow the runs, not the
+    # states, and the landing rows stream through a ring of 640 rows
+    for rc, seconds, maxrss_kib in _certify_thm1(tmp_path, 5):
+        assert rc == "0" and seconds < 30.0 and maxrss_kib < 96 << 10
+
+
+def test_thm1_k6_certifies_under_150mb(tmp_path):
+    # n_5 = 16384 on 1.8e10 states: a whole landing table would be 1.07 GB
+    for rc, seconds, maxrss_kib in _certify_thm1(tmp_path, 6):
+        assert rc == "0" and seconds < 30.0 and maxrss_kib < 150 << 10

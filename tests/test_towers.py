@@ -12,8 +12,12 @@ from slowclt import (
     OccupancyDistribution,
     TowerSpec,
     TowerSystem,
+    RateSequence,
+    build_counterexample,
     build_tower_system,
+    derive_schedule,
     occupancy_distribution,
+    occupancy_distributions,
     sample_trajectory_batch,
 )
 from slowclt.towers import _knots, _window_counts, occupancy_by_path_enumeration
@@ -170,7 +174,72 @@ def tower_families(draw):
     return [TowerSpec(h, w / total) for h, w in zip(heights, raw)]
 
 
+class TestOccupancyDistribution:
+    @pytest.mark.parametrize("window, probs", [
+        (2, [0.5, 0.5]),  # one probability short
+        (1, [0.5, 0.4]),  # mass 0.9
+        (1, [np.nan, 1.0]),
+    ])
+    def test_bad_law_raises_value_error(self, window, probs):
+        # a ValueError, not an assert, so python -O keeps the check
+        with pytest.raises(ValueError):
+            OccupancyDistribution(window=window, probs=np.array(probs))
+
+
+@st.composite
+def short_tower_families(draw):
+    # at least two towers of height 2 or 3, a third one short or taller than
+    # the window, and a window of 7 to 10 steps: blocks of min H <= 3 rows,
+    # and a ring of at most 6 rows, which wraps
+    heights = [draw(st.integers(2, 3)) for _ in range(2)]
+    heights += draw(st.lists(st.integers(1, 3) | st.integers(10, 12), max_size=1))
+    raw = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in heights]
+    total = sum(raw)
+    return [TowerSpec(h, w / total) for h, w in zip(heights, raw)], draw(st.integers(7, 10))
+
+
+def thm1_desk_occupancy_args():
+    # thm1 c=0.5 beta=0.5 K=4: n_3 = 1024 past H_0 = 527, so the ring of
+    # 640 rows wraps, in blocks of 64
+    sched = derive_schedule("thm1", RateSequence.power_law(0.5, 0.5), 4)
+    model = build_counterexample(sched)
+    return model.system, [[(s, e) for s, e, v in t if v > 0.5] for t in model.runs], sched.n
+
+
 class TestOccupancyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(short_tower_families(), st.randoms())
+    def test_streamed_rows_equal_enumeration(self, family, rnd):
+        specs, n = family
+        sys_ = build_tower_system(specs)
+        active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
+        occ = occupancy_distribution(sys_, active, n)
+        ref = occupancy_by_path_enumeration(sys_, active, n)
+        assert np.allclose(occ.probs, ref, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tower_families(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           st.randoms())
+    def test_windows_share_a_pass_bit_for_bit(self, specs, windows, rnd):
+        sys_ = build_tower_system(specs)
+        active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
+        laws = occupancy_distributions(sys_, active, windows)
+        assert [law.window for law in laws] == windows
+        for n, law in zip(windows, laws):
+            assert np.array_equal(law.probs, occupancy_distribution(sys_, active, n).probs)
+
+    def test_desk_windows_share_a_pass_bit_for_bit(self):
+        sys_, active, windows = thm1_desk_occupancy_args()
+        laws = occupancy_distributions(sys_, active, windows)
+        for n, law in zip(windows, laws):
+            assert np.array_equal(law.probs, occupancy_distribution(sys_, active, n).probs)
+
+    def test_windows_must_be_positive(self):
+        with pytest.raises(ValueError):
+            occupancy_distributions(small_system(), [[(0, 1)], []], [])
+        with pytest.raises(ValueError):
+            occupancy_distributions(small_system(), [[(0, 1)], []], [3, 0])
+
     @settings(max_examples=40, deadline=None)
     @given(tower_families(), st.integers(min_value=1, max_value=5), st.randoms())
     def test_occupancy_equals_enumeration(self, specs, n, rnd):
