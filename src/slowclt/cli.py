@@ -89,8 +89,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_probe(args) -> int:
     sched = _schedule_from_args(args)
-    model = build_counterexample(sched)
     k = args.k
+    if not 0 <= k < sched.K:
+        raise ConfigError(f"--k must be in [0, {sched.K}), got {k}")
+    model = build_counterexample(sched)
     if args.name == "llt":
         if args.variant == "thm2":
             res = pr.llt_probe_density(model, sched, k, mc_reps=args.mc_reps,
@@ -131,7 +133,6 @@ def _cmd_report(args) -> int:
             "seed": args.seed,
             "mc_reps": args.mc_reps,
             "constants": args.constants,
-            "output_dir": args.out,
         })
     bundle = run_experiment(config)
     paths = write_report(bundle, args.out or config.output_dir)
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-reps", type=int, default=0)
     p.add_argument("--constants", type=json.loads, default={})
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", help="output directory (default: the config's output_dir, else .)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("verify", help="rerun a certificate from its header and compare")
@@ -199,10 +200,7 @@ def main(argv=None) -> int:
     except (BoundMismatch, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SlowCltError as exc:
+    except (SlowCltError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

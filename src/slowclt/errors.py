@@ -5,7 +5,7 @@ class SlowCltError(Exception):
     """Base class for all library errors."""
 
 
-# tower_dynamics
+# towers
 class MassSumError(SlowCltError):
     """Tower masses do not sum to 1 within tolerance."""
 
@@ -20,20 +20,20 @@ class BadConstants(SlowCltError):
 
 
 class VariantMismatch(SlowCltError):
-    """Operation applied to a model of the wrong variant."""
+    """Operation applied to a model or schedule of the wrong variant."""
 
 
 class DegenerateModel(SlowCltError):
     """The inactive set has measure 0 or 1, degenerating the process."""
 
 
-# dist_engine
+# distributions
 class BudgetExceeded(SlowCltError):
     """The grid of interval_probability needs more cells than its budget, or
     the strong-MDS bin key of probes._mds_bin_index overflows int64."""
 
 
-# diagnostics
+# probes
 class EvenIndex(SlowCltError):
     """Density-variant ratio probe requested at an even index."""
 
@@ -42,7 +42,7 @@ class LatticeMismatch(SlowCltError):
     """Step law is not supported on the declared lattice, or is degenerate."""
 
 
-# cli_reporting
+# reporting and cli
 class ConfigError(SlowCltError):
     """Experiment configuration violates the schema."""
 
@@ -52,4 +52,5 @@ class ParseError(SlowCltError):
 
 
 class BoundMismatch(SlowCltError):
-    """A probe's recorded bound disagrees with recomputation."""
+    """A certificate's records differ from the rerun of its header, or a
+    probe of that rerun fails."""

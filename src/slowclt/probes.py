@@ -328,24 +328,15 @@ def _mds_mc(model, window, j, reps, seed, filter_coeff):
     if filter_coeff and j >= 1:
         f = f + filter_coeff * w[:, j - 1] * g[:, j - 1]
     inverse = _mds_bin_index(towers, g, j, len(sys.towers))
-    nbins = int(inverse.max()) + 1
-    worst = 0.0
-    used = 0
-    sums = np.bincount(inverse, weights=f, minlength=nbins)
-    sqs = np.bincount(inverse, weights=f * f, minlength=nbins)
-    counts = np.bincount(inverse, minlength=nbins)
-    for b in range(nbins):
-        c = counts[b]
-        if c < 30:
-            continue
-        mean = sums[b] / c
-        var = max(sqs[b] / c - mean * mean, 0.0)
-        se = math.sqrt(var / c) if var > 0 else 0.0
-        if se == 0.0:
-            continue
-        used += 1
-        worst = max(worst, abs(mean) / se)
-    return worst, used
+    # max |bin mean| / bin se over the bins with 30 samples and a positive se
+    counts = np.bincount(inverse)
+    keep = counts >= 30
+    c = counts[keep]
+    mean = np.bincount(inverse, weights=f)[keep] / c
+    var = np.maximum(np.bincount(inverse, weights=f * f)[keep] / c - mean * mean, 0.0)
+    se = np.sqrt(var / c)
+    used = se > 0.0
+    return np.max(np.abs(mean[used]) / se[used], initial=0.0), int(used.sum())
 
 
 def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
@@ -497,6 +488,8 @@ def mixing_profile(sys: TowerSystem, lags: Sequence[int]) -> MixingProfile:
 
 def mixing_probe(sys: TowerSystem, sched: Schedule) -> ProbeResult:
     """For each scheduled k: a lag m_k with beta(m_k) <= eps_k (hence <= 7 eps_k)."""
+    if not sched.eps:
+        raise VariantMismatch(f"{sched.variant} schedules no eps_k to check mixing against")
     lags, betas = _mixing_lags(sys, sched.eps)
     if len(lags) < len(sched.eps):
         return ProbeResult(

@@ -5,8 +5,7 @@ report.txt (human summary), report.ndjson (one record per probe, floats at
 full precision), and curves.csv (per-index values for plotting).  The
 ndjson stream doubles as a certificate: every record is a deterministic
 function of the header, so verify_certificate reruns the experiment the
-header describes and compares each record with the rerun, field by field,
-after checking each recorded bound against its closed form.
+header describes and compares each record with the rerun, field by field.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .construction import (
-    ProcessModel,
     RateSequence,
     Schedule,
     build_counterexample,
@@ -110,19 +108,6 @@ class ReportBundle:
         return all(r.passed for r in self.results)
 
 
-def expected_probe_count(variant: str, K: int) -> int:
-    """Number of probe records a full run of the given variant emits."""
-    if variant == "thm1":
-        return 2 * K + 2
-    if variant == "thm3":
-        return 2 * K + 3
-    if variant == "thm2":
-        return 2 * sum(1 for k in range(K) if k % 2 == 1) + 3
-    if variant == "iid-baseline":
-        return 3
-    raise ConfigError(f"unknown variant {variant!r}")
-
-
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     t0 = time.monotonic()
     if config.variant == "iid-baseline":
@@ -154,8 +139,6 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         results.append(pr.density_bound_probe(model))
         results.append(pr.variance_probe(model))
         results.append(pr.mds_conditional_mean_test(model, window=3))
-    expected = expected_probe_count(config.variant, sched.K)
-    assert len(results) == expected, (len(results), expected)
     summary = {
         "towers": len(model.system.towers),
         "states": model.system.n_states,
@@ -350,15 +333,14 @@ def _text_report(bundle: ReportBundle) -> str:
 def verify_certificate(ndjson_path: str) -> list[str]:
     """Rerun the experiment the header describes and compare every record with it.
 
-    Returns a list of human-readable check descriptions on success; raises
-    ParseError for malformed input (including a header that does not
-    describe a run) and BoundMismatch when any record disagrees.  Two kinds
-    of check run on the file itself first: each recorded bound against its
-    closed form from the schedule record (a_{n_k}, a_{n_k}/2, d_k(1 - rho_k),
-    p_k/4, L, 7 eps_k), and each pass flag against its value, bound and
-    direction.  Then run_experiment rebuilds the certificate from the
-    header, and every field of every record must match it: integers,
-    strings, booleans and None exactly, floats within 1e-12 relative.
+    Returns one line per record compared.  Raises ParseError for malformed
+    input, including a header that does not describe a run, and
+    BoundMismatch when the records differ from the rerun's in kind or
+    number, when any field differs from the rerun's (integers, strings,
+    booleans and None exactly, floats within 1e-12 relative), or when a
+    probe of the rerun fails.  The probes compute every bound from the
+    schedule, so the rerun is the one source of the bounds the file must
+    carry.
     """
     try:
         with open(ndjson_path) as fh:
@@ -372,38 +354,26 @@ def verify_certificate(ndjson_path: str) -> list[str]:
         config = ExperimentConfig.from_dict(
             {k: v for k, v in header.items() if k not in ("record", "version")})
         if config.variant != "iid-baseline":
-            rate = RateSequence.from_descriptor(config.rate)
+            RateSequence.from_descriptor(config.rate)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate header: {exc}") from exc
     kinds = [rec.get("record") if isinstance(rec, dict) else None for rec in records[1:]]
     for kind in kinds:
         if kind not in ("schedule", "model", "probe"):
             raise ParseError(f"unknown record type {kind!r}")
-    probes_recs = [rec for rec in records[1:] if rec["record"] == "probe"]
-    expected = expected_probe_count(config.variant, config.K)
-    if len(probes_recs) != expected:
-        raise BoundMismatch(f"expected {expected} probe records, found {len(probes_recs)}")
-    checks: list[str] = []
-    try:
-        if config.variant != "iid-baseline":
-            if "schedule" not in kinds:
-                raise ParseError("missing schedule record")
-            sched_rec = records[1 + kinds.index("schedule")]
-            for rec in probes_recs:
-                _recheck_bound(rec, config.variant, sched_rec, rate, sched_rec["n"], checks)
-        for rec in probes_recs:
-            _recheck_direction(rec, checks)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ParseError(f"malformed certificate record: {exc!r}") from exc
     try:
         bundle = run_experiment(config)
     except (SlowCltError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"the header does not describe a run: {exc!r}") from exc
+    found = kinds.count("probe")
+    if found != len(bundle.results):
+        raise BoundMismatch(f"expected {len(bundle.results)} probe records, found {found}")
     want = _records(bundle)
     if [rec["record"] for rec in want[1:]] != kinds:
         raise BoundMismatch(f"records {kinds} differ from the rerun's "
                             f"{[rec['record'] for rec in want[1:]]}")
     _compare(header, want[0], "header")
+    checks: list[str] = []
     for got, rec in zip(records[1:], want[1:]):
         if rec["record"] == "probe":
             label = f"{rec['name']}[{rec['index']}]"
@@ -412,6 +382,9 @@ def verify_certificate(ndjson_path: str) -> list[str]:
         else:
             _compare(got, rec, rec["record"])
             checks.append(f"{rec['record']} record: every field rebuilt from the header")
+    failed = [f"{r.name}[{r.index}]" for r in bundle.results if not r.passed]
+    if failed:
+        raise BoundMismatch(f"probes that fail on the rerun: {', '.join(failed)}")
     return checks
 
 
@@ -441,73 +414,3 @@ def _compare(got, want, where: str) -> None:
             raise BoundMismatch(f"{where} is {got!r}, the rerun gives {want!r}")
     elif type(got) is not type(want) or got != want:
         raise BoundMismatch(f"{where} is {got!r}, the rerun gives {want!r}")
-
-
-def _close(a: float, b: float, tol: float = 1e-12) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _recheck_bound(rec, variant, sched, rate, n, checks):
-    name, k = rec["name"], rec["index"]
-    if name == "llt":
-        want = rate(n[k])
-        if not _close(rec["bound"], want):
-            raise BoundMismatch(f"llt[k={k}] bound {rec['bound']} != a_n = {want}")
-        if variant == "thm1":
-            cf = sched["d"][k] * (1.0 - sched["rho"][k])
-            rec_cf = rec.get("details", {}).get("closed_form_bound")
-            if rec_cf is None or not _close(rec_cf, cf):
-                raise BoundMismatch(f"llt[k={k}] closed-form bound mismatch")
-            if cf < want:
-                raise BoundMismatch(f"llt[k={k}] d_k(1-rho_k) < a_n")
-            checks.append(f"llt[k={k}]: d_k(1-rho_k)={cf:.6g} >= a_n={want:.6g}")
-        else:
-            qm = sched["p"][k] / 4.0
-            rec_qm = rec.get("details", {}).get("quarter_mass_bound")
-            if rec_qm is None or not _close(rec_qm, qm):
-                raise BoundMismatch(f"llt[k={k}] quarter-mass bound mismatch")
-            if qm < want:
-                raise BoundMismatch(f"llt[k={k}] p_k/4 < a_n")
-            checks.append(f"llt[k={k}]: p_k/4={qm:.6g} >= a_n={want:.6g}")
-    elif name == "clt":
-        want = rate(n[k]) / 2.0 if variant in ("thm1", "thm3") else rate(n[k])
-        if not _close(rec["bound"], want):
-            raise BoundMismatch(f"clt[k={k}] bound {rec['bound']} != {want}")
-        checks.append(f"clt[k={k}]: bound={want:.6g} rechecked")
-    elif name == "llt-ratio":
-        want = sched["constants"]["L"]
-        if not _close(rec["bound"], want):
-            raise BoundMismatch(f"llt-ratio[k={k}] bound {rec['bound']} != L={want}")
-        checks.append(f"llt-ratio[k={k}]: bound=L={want:.6g} rechecked")
-    elif name == "mixing":
-        det = rec.get("details", {})
-        if "beta_at_m" in det:
-            seven = [7.0 * e for e in sched["eps"]]
-            rec_seven = det.get("seven_eps", [])
-            if len(rec_seven) != len(seven) or any(
-                not _close(a, b) for a, b in zip(rec_seven, seven)
-            ):
-                raise BoundMismatch("mixing probe 7*eps_k values mismatch")
-            for i, (b_val, cap) in enumerate(zip(det["beta_at_m"], seven)):
-                if b_val > cap:
-                    raise BoundMismatch(f"mixing beta(m_{i}) > 7 eps_{i}")
-            checks.append(f"mixing: beta(m_k) <= 7 eps_k for k < {len(seven)}")
-
-
-def _recheck_direction(rec, checks):
-    value, bound, err = rec["value"], rec["bound"], rec.get("error", 0.0)
-    if rec["direction"] == ">=":
-        ok = value - bound > err
-    elif rec["direction"] == "<=":
-        ok = bound - value > err
-    else:
-        raise ParseError(f"bad direction {rec['direction']!r}")
-    if ok != rec["passed"]:
-        raise BoundMismatch(
-            f"probe {rec['name']}[{rec['index']}] pass flag inconsistent with values"
-        )
-    if not ok:
-        raise BoundMismatch(
-            f"probe {rec['name']}[{rec['index']}] records a failed inequality"
-        )
-    checks.append(f"{rec['name']}[{rec['index']}]: {value:.6g} {rec['direction']} {bound:.6g}")

@@ -68,12 +68,29 @@ class TestProbeResult:
 
 
 class TestLatticeProbes:
+    def test_thm1_bounds_are_closed_forms(self):
+        rate = RateSequence.power_law(0.5, 0.5)
+        s = derive_schedule("thm1", rate, 3)
+        m = build_counterexample(s)
+        for k in range(3):
+            r = llt_probe_lattice(m, s, k)
+            assert r.passed
+            assert r.bound == rate(s.n[k])
+            closed = r.details["closed_form_bound"]
+            assert closed == s.d[k] * (1.0 - s.rho[k])
+            assert closed >= rate(s.n[k])
+            r = clt_probe(m, s, k)
+            assert r.passed
+            assert r.bound == rate(s.n[k]) / 2
+
     def test_thm3_desk_llt_chain(self):
         s = derive_schedule_thm3(DESK_THM3, 3)
         m = build_counterexample(s)
         for k in range(3):
             r = llt_probe_lattice(m, s, k)
             assert r.passed and r.method == "exact"
+            assert r.bound == DESK_THM3(s.n[k])
+            assert r.details["quarter_mass_bound"] == s.p[k] / 4
             # exact chain: value >= intersection mass >= p_k/4 >= a_{n_k}
             assert r.value >= r.details["intersection_mass"] - 1e-12
             assert r.details["intersection_mass"] >= s.p[k] / 4 - 1e-12
@@ -85,7 +102,7 @@ class TestLatticeProbes:
         for k in range(2):
             r = clt_probe(m, s, k)
             assert r.passed
-            assert r.bound == pytest.approx(DESK_THM3(s.n[k]) / 2)
+            assert r.bound == DESK_THM3(s.n[k]) / 2
 
     def test_wrong_noise_kind_rejected(self):
         s = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 4)
@@ -104,6 +121,7 @@ class TestDensityProbes:
         s, m = thm2
         r = llt_probe_density(m, s, 1)
         assert r.passed and r.value >= 4.0
+        assert r.bound == s.constants["L"]
         assert r.details["b_method"] == "exact-rational"
         assert r.details["b_n"] == 41 / 48
         # the certified ratio also exceeds the LLT prediction 2*phi(0)
@@ -125,7 +143,7 @@ class TestDensityProbes:
         r = clt_probe(m, s, 1, ratio=ratio)
         assert r.passed
         assert r.method == "exact-lower-bound"
-        assert r.bound == pytest.approx(0.05 / s.n[1])
+        assert r.bound == RateSequence.power_law(0.05, 1.0)(s.n[1])
 
 
 class TestVarianceProbe:
@@ -157,6 +175,38 @@ class TestMdsConditionalMean:
         r = mds_conditional_mean_test(m, 3, reps=150_000, seed=2)
         assert r.method == "monte-carlo"
         assert r.passed
+
+    @pytest.mark.parametrize("filter_coeff", [0.0, 0.5])
+    def test_monte_carlo_equals_per_bin_loop(self, filter_coeff):
+        # the per-bin loop the array statistic replaced, on the same samples
+        s = derive_schedule("thm1", RateSequence.power_law(0.5, 1.0), 2)
+        m = build_counterexample(s)
+        window, j, reps, seed = 3, 1, 20_000, 0
+        towers, levels = sample_trajectory_batch(m.system, seed, window, reps)
+        w = m.weight_at(m.system.offsets[towers] + levels)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6d6473]))
+        g = m.noise.sample(rng, (reps, window))
+        f = w[:, j] * g[:, j] + filter_coeff * w[:, j - 1] * g[:, j - 1]
+        inverse = _mds_bin_index(towers, g, j, len(m.system.towers))
+        sums = np.bincount(inverse, weights=f)
+        sqs = np.bincount(inverse, weights=f * f)
+        counts = np.bincount(inverse)
+        worst, used = 0.0, 0
+        for b in range(len(counts)):
+            c = counts[b]
+            if c < 30:
+                continue
+            mean = sums[b] / c
+            var = max(sqs[b] / c - mean * mean, 0.0)
+            se = math.sqrt(var / c) if var > 0 else 0.0
+            if se == 0.0:
+                continue
+            used += 1
+            worst = max(worst, abs(mean) / se)
+        r = mds_conditional_mean_test(m, window, reps=reps, seed=seed,
+                                      filter_coeff=filter_coeff)
+        assert (r.value, r.details["bins"]) == (worst, used)
+        assert used > 0
 
     def test_bin_index_equals_row_unique(self):
         # the mixed-radix key numbers bins exactly as np.unique(axis=0) does
@@ -383,12 +433,22 @@ class TestMixing:
         assert r.details["m_lags"] == lags
         assert np.max(np.abs(np.array(r.details["beta_at_m"]) - betas)) <= 1e-12
 
+    @pytest.mark.parametrize("variant,rate", [
+        ("thm1", RateSequence.power_law(0.5, 0.5)),
+        ("thm2", RateSequence.power_law(0.05, 1.0)),
+    ])
+    def test_no_eps_to_check_is_variant_mismatch(self, variant, rate):
+        s = derive_schedule(variant, rate, 2)
+        with pytest.raises(VariantMismatch, match="eps"):
+            mixing_probe(tower_chain_system(s), s)
+
     def test_desk_probe_meets_seven_eps(self):
         s = derive_schedule_thm3(DESK_THM3, 3)
         chain = tower_chain_system(s)
         assert chain.n_states <= 10**4
         r = mixing_probe(chain, s)
         assert r.passed
+        assert r.details["seven_eps"] == [7.0 * e for e in s.eps]
         lags = r.details["m_lags"]
         assert all(a < b for a, b in zip(lags, lags[1:]))
         for b_val, eps in zip(r.details["beta_at_m"], s.eps):

@@ -17,7 +17,6 @@ from slowclt import (
     write_report,
 )
 from slowclt.cli import main
-from slowclt.reporting import expected_probe_count
 
 BASE = {
     "schema_version": 1,
@@ -78,14 +77,6 @@ class TestConfig:
             ExperimentConfig.from_file(str(bad))
 
 
-class TestProbeCount:
-    def test_formulas(self):
-        assert expected_probe_count("thm1", 3) == 8
-        assert expected_probe_count("thm3", 3) == 9
-        assert expected_probe_count("thm2", 12) == 15
-        assert expected_probe_count("iid-baseline", 1) == 3
-
-
 @pytest.fixture(scope="module")
 def thm1_bundle():
     return run_experiment(desk_config(seed=7))
@@ -96,7 +87,7 @@ class TestRunExperiment:
         names = [r.name for r in thm1_bundle.results]
         assert names.count("llt") == 3 and names.count("clt") == 3
         assert thm1_bundle.all_passed
-        assert len(thm1_bundle.results) == expected_probe_count("thm1", 3)
+        assert len(thm1_bundle.results) == 8
 
     def test_model_summary_recorded(self, thm1_bundle):
         s = thm1_bundle.model_summary
@@ -378,6 +369,35 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "report.ndjson").exists()
 
+    def test_report_writes_to_config_output_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE, "variant": "iid-baseline", "K": 1,
+                                   "output_dir": str(tmp_path / "wanted")}))
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert (tmp_path / "wanted" / "report.ndjson").exists()
+        assert not (tmp_path / "report.ndjson").exists()
+        # an explicit --out wins over the config
+        assert main(["report", "--config", str(cfg), "--out", "elsewhere"]) == 0
+        assert (tmp_path / "elsewhere" / "report.ndjson").exists()
+
+    def test_report_from_flags_writes_to_cwd(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--variant", "iid-baseline"]) == 0
+        assert (tmp_path / "report.ndjson").exists()
+
+    @pytest.mark.parametrize("k", ["3", "-1"])
+    def test_probe_index_out_of_range_exit_2(self, capsys, k):
+        assert main(["probe", "--variant", "thm1", "--K", "3", "llt", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert f"--k must be in [0, 3), got {k}" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("variant", ["thm1", "thm2"])
+    def test_probe_mixing_without_eps_exit_2(self, capsys, variant):
+        assert main(["probe", "--variant", variant, "--K", "2", "mixing"]) == 2
+        captured = capsys.readouterr()
+        assert "eps" in captured.err and captured.out == ""
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE, "bogus": True}))
@@ -417,6 +437,29 @@ class TestCli:
         lines[-1] = json.dumps(rec, sort_keys=True)
         open(path, "w").write("\n".join(lines) + "\n")
         assert main(["verify", path]) == 1
+
+
+class TestFailingProbe:
+    def test_rerun_failure_is_bound_mismatch(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import slowclt.probes
+
+        real = slowclt.probes.variance_probe
+
+        def failing(model):
+            r = real(model)
+            return dataclasses.replace(r, value=r.bound)  # no margin: fails
+
+        monkeypatch.setattr(slowclt.probes, "variance_probe", failing)
+        bundle = run_experiment(desk_config())
+        assert [f"{r.name}[{r.index}]" for r in bundle.results if not r.passed] == [
+            "variance[-1]"]
+        path = write_report(bundle, str(tmp_path))["ndjson"]
+        with pytest.raises(BoundMismatch, match=r"variance\[-1\]"):
+            verify_certificate(path)
+        assert main(["verify", path]) == 1
+        assert "variance[-1]" in capsys.readouterr().err
 
 
 def _power_law(c, beta):
