@@ -17,13 +17,18 @@ import argparse
 import json
 import sys
 
-from .construction import RateSequence, build_counterexample, derive_schedule
+from .construction import build_counterexample, tower_chain_system
 from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
 from . import probes as pr
 from .reporting import (
+    SCHEMA_VERSION,
     ExperimentConfig,
-    ReportBundle,
+    _fmt,
+    _probe_record,
+    _schedule_record,
+    model_summary,
     run_experiment,
+    schedule_of,
     verify_certificate,
     write_report,
 )
@@ -33,107 +38,78 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", required=True, choices=("thm1", "thm2", "thm3"))
+def _add_config_args(p: argparse.ArgumentParser, seeded: bool = False,
+                     baseline: bool = False) -> None:
+    """The flags a config is read from: --seed and --mc-reps when seeded, and
+    the iid-baseline variant, with thm1 as the default, when baseline."""
+    variants = ("thm1", "thm2", "thm3") + (("iid-baseline",) if baseline else ())
+    p.add_argument("--variant", required=not baseline, default="thm1", choices=variants)
     p.add_argument("--rate-c", type=float, default=0.5, help="rate a_n = c * n^-beta")
     p.add_argument("--rate-beta", type=float, default=0.5)
     p.add_argument("--K", type=int, default=3, help="number of scheduled indices")
     p.add_argument("--constants", type=json.loads, default={},
                    help="JSON object of variant constants (L1, L2, L, eps0, ...)")
+    if seeded:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mc-reps", type=int, default=0)
 
 
-def _schedule_from_args(args):
-    if not isinstance(args.constants, dict):
-        raise ConfigError(f"--constants must be a JSON object, got {args.constants!r}")
-    rate = RateSequence.power_law(args.rate_c, args.rate_beta)
-    return derive_schedule(args.variant, rate, args.K, **args.constants)
+def _config_from_args(args) -> ExperimentConfig:
+    return ExperimentConfig.from_dict({
+        "schema_version": SCHEMA_VERSION,
+        "variant": args.variant,
+        "rate": {"family": "power-law", "c": args.rate_c, "beta": args.rate_beta},
+        "K": args.K,
+        "seed": getattr(args, "seed", 0),
+        "mc_reps": getattr(args, "mc_reps", 0),
+        "constants": args.constants,
+    })
+
+
+def _print_record(record: dict) -> None:
+    print(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _cmd_schedule(args) -> int:
-    sched = _schedule_from_args(args)
-    out = {
-        "variant": sched.variant,
-        "n": list(sched.n),
-        "H": list(sched.H),
-        "d": list(sched.d),
-        "p": list(sched.p),
-        "rho": list(sched.rho),
-        "eps": list(sched.eps),
-        "remainder_mass": sched.remainder_mass,
-        "remainder_height": sched.remainder_height,
-        "constants": sched.constants,
-    }
-    json.dump(out, sys.stdout, indent=2, default=float)
-    print()
+    _print_record(_schedule_record(schedule_of(_config_from_args(args))))
     return EXIT_OK
 
 
 def _cmd_build(args) -> int:
-    sched = _schedule_from_args(args)
-    model = build_counterexample(sched)
-    sys_ = model.system
-    out = {
-        "variant": model.variant,
-        "towers": len(sys_.towers),
-        "states": sys_.n_states,
-        "heights": [int(h) for h in sys_.heights],
-        "aperiodic": sys_.is_aperiodic(),
-        "sigma2": model.sigma2,
-        "mu_inactive": model.mu_inactive,
-        "noise": model.noise.kind,
-    }
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    model = build_counterexample(schedule_of(_config_from_args(args)))
+    _print_record(_fmt({"record": "model", **model_summary(model), "variant": model.variant,
+                        "aperiodic": model.system.is_aperiodic()}))
     return EXIT_OK
 
 
 def _cmd_probe(args) -> int:
-    sched = _schedule_from_args(args)
+    config = _config_from_args(args)
+    sched = schedule_of(config)
     k = args.k
     if not 0 <= k < sched.K:
         raise ConfigError(f"--k must be in [0, {sched.K}), got {k}")
     model = build_counterexample(sched)
     if args.name == "llt":
         if args.variant == "thm2":
-            res = pr.llt_probe_density(model, sched, k, mc_reps=args.mc_reps,
-                                       seed=args.seed)
+            res = pr.llt_probe_density(model, sched, k, mc_reps=config.mc_reps,
+                                       seed=config.seed)
         else:
             res = pr.llt_probe_lattice(model, sched, k)
     elif args.name == "clt":
         res = pr.clt_probe(model, sched, k)
     elif args.name == "mds":
-        res = pr.mds_conditional_mean_test(model, window=3, reps=args.mc_reps,
-                                           seed=args.seed)
+        res = pr.mds_conditional_mean_test(model, window=3, reps=config.mc_reps,
+                                           seed=config.seed)
     elif args.name == "mixing":
-        from .construction import tower_chain_system
-
         res = pr.mixing_probe(tower_chain_system(sched), sched)
-    elif args.name == "variance":
-        res = pr.variance_probe(model)
     else:
-        raise SlowCltError(f"unknown probe {args.name!r}")
-    json.dump({
-        "name": res.name, "index": res.index, "value": res.value,
-        "bound": res.bound, "direction": res.direction, "method": res.method,
-        "error": res.error, "passed": res.passed, "details": res.details,
-    }, sys.stdout, indent=2, default=float)
-    print()
+        res = pr.variance_probe(model)
+    _print_record(_probe_record(res))
     return EXIT_OK if res.passed else EXIT_FAIL
 
 
 def _cmd_report(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig.from_dict({
-            "schema_version": 1,
-            "variant": args.variant,
-            "rate": {"family": "power-law", "c": args.rate_c, "beta": args.rate_beta},
-            "K": args.K,
-            "seed": args.seed,
-            "mc_reps": args.mc_reps,
-            "constants": args.constants,
-        })
+    config = ExperimentConfig.from_file(args.config) if args.config else _config_from_args(args)
     bundle = run_experiment(config)
     paths = write_report(bundle, args.out or config.output_dir)
     with open(paths["txt"]) as fh:
@@ -158,31 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="derive per-index parameters")
-    _add_model_args(p)
+    _add_config_args(p)
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("build", help="build the model and print its summary")
-    _add_model_args(p)
+    _add_config_args(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("probe", help="run a single named probe")
-    _add_model_args(p)
+    _add_config_args(p, seeded=True)
     p.add_argument("name", choices=("llt", "clt", "mds", "mixing", "variance"))
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-reps", type=int, default=0)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("report", help="run the full suite and write reports")
     p.add_argument("--config", help="JSON config file (overrides other options)")
-    p.add_argument("--variant", choices=("thm1", "thm2", "thm3", "iid-baseline"),
-                   default="thm1")
-    p.add_argument("--rate-c", type=float, default=0.5)
-    p.add_argument("--rate-beta", type=float, default=0.5)
-    p.add_argument("--K", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--constants", type=json.loads, default={})
+    _add_config_args(p, seeded=True, baseline=True)
     p.add_argument("--out", help="output directory (default: the config's output_dir, else .)")
     p.set_defaults(func=_cmd_report)
 
@@ -193,16 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BoundMismatch, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except (SlowCltError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a certificate that does not parse or check fails; any other error is usage
+        return EXIT_FAIL if isinstance(exc, (BoundMismatch, ParseError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,41 +25,40 @@ from .errors import (
 from .towers import TowerSpec, TowerSystem, build_tower_system
 
 DEFAULT_SEARCH_CAP = 10**7
+DENSITY_TAIL_MASS = 1e-12  # density_of_f drops the bands past this tail mass
 
 SQRT2 = math.sqrt(2.0)
 GEOM_BASE = (SQRT2 - 1.0) / SQRT2  # leading tower mass of the density variant
 
 
 class RateSequence:
-    """Target rate n -> a_n, positive and non-increasing on queried ranges."""
+    """The power-law target rate a_n = c * n^-beta, for finite c > 0 and beta > 0."""
 
-    def __init__(self, evaluator: Callable[[int], float], descriptor: Optional[dict] = None):
-        self._eval = evaluator
-        self.descriptor = descriptor or {"family": "custom"}
+    def __init__(self, c: float, beta: float):
+        for name, v in (("c", c), ("beta", beta)):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+                    math.isfinite(v) and v > 0):
+                raise ValueError(f"power law needs a finite number {name} > 0, got {v!r}")
+        self.c, self.beta = float(c), float(beta)
+        self.descriptor = {"family": "power-law", "c": self.c, "beta": self.beta}
 
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError("rate sequence is indexed from 1")
-        a = float(self._eval(n))
+        a = float(self.c * n ** (-self.beta))
         if a <= 0.0:
             raise ValueError(f"a_{n} = {a} must be positive")
         return a
 
     @staticmethod
     def power_law(c: float, beta: float) -> "RateSequence":
-        if c <= 0 or beta <= 0:
-            raise ValueError("power law needs c > 0 and beta > 0")
-        return RateSequence(
-            lambda n: c * n ** (-beta),
-            {"family": "power-law", "c": c, "beta": beta},
-        )
+        return RateSequence(c, beta)
 
     @staticmethod
     def from_descriptor(desc: dict) -> "RateSequence":
-        if desc.get("family") == "power-law":
-            return RateSequence.power_law(float(desc["c"]), float(desc["beta"]))
-        raise ValueError(f"unknown rate family {desc.get('family')!r}: only a power-law rate "
-                         "can be rebuilt from its descriptor, as the probes and verify do")
+        if desc.get("family") != "power-law" or set(desc) - {"family", "c", "beta"}:
+            raise ValueError(f"a rate is a power law with keys family, c and beta, got {desc!r}")
+        return RateSequence(desc.get("c"), desc.get("beta"))
 
 
 def _smallest_n_with_rate_below(
@@ -105,7 +104,9 @@ class Schedule:
     p: tuple[float, ...]  # tower masses
     rho: tuple[float, ...]
     eps: tuple[float, ...] = ()
-    m_lags: tuple[int, ...] = ()  # filled by the mixing probe
+    # always (): the lags are in the mixing record's details["m_lags"]; the
+    # field stays because the certificate's schedule record carries it
+    m_lags: tuple[int, ...] = ()
     delta: tuple[float, ...] = ()
     remainder_mass: float = 0.0
     remainder_height: int = 1
@@ -129,7 +130,6 @@ def derive_schedule_thm1(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    RateSequence.from_descriptor(a.descriptor)  # refuse a rate the probes cannot rebuild
     ns, hs, ds, rhos, ps = [], [], [], [], []
     prev = 0
     for k in range(K):
@@ -178,7 +178,6 @@ def derive_schedule_thm2(
     """Density-variant schedule with the geometric tower-mass family."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    RateSequence.from_descriptor(a.descriptor)  # refuse a rate the probes cannot rebuild
     if L2 < 10.0 * L1:
         raise BadConstants(f"need L2 >= 10*L1, got L1={L1}, L2={L2}")
     ps = [GEOM_BASE * 2.0 ** (-k / 2.0) for k in range(K)]
@@ -241,7 +240,6 @@ def derive_schedule_thm3(
     """Mixing-variant schedule: p_k >= 4 a_{n_k}, H_k >= 4 n_k^2, gcd(H) = 1."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    RateSequence.from_descriptor(a.descriptor)  # refuse a rate the probes cannot rebuild
     caps = [2.0 ** (-k / 2.0) / (2.0 * SQRT2) for k in range(K)]
     scale = min(1.0, 0.96 / sum(caps))
     caps = [scale * t for t in caps]
@@ -481,12 +479,13 @@ def intersection_lower_bound(sched: Schedule, k: int) -> float:
     raise VariantMismatch("intersection bound is defined for lattice variants")
 
 
-def density_of_f(model: ProcessModel, tail_mass: float = 1e-12):
-    """Exact piecewise-constant density of the untruncated density-variant f.
+def density_of_f(model: ProcessModel):
+    """Piecewise-constant density of the density-variant f over the untruncated
+    geometric family of towers.
 
-    Bands are emitted for the full geometric family down to the index where
-    the remaining tail mass drops below tail_mass; the tail concentrates at
-    0 and is reported via the returned density's integral deficit.
+    Bands are emitted for k < k_max, the first index whose tail mass
+    2^{-k/2} is at most DENSITY_TAIL_MASS.  The bands past it are left out,
+    so their mass is the density's integral deficit.
     """
     from .distributions import PiecewiseDensity
 
@@ -495,7 +494,7 @@ def density_of_f(model: ProcessModel, tail_mass: float = 1e-12):
     consts = model.schedule.constants
     L1, L2 = consts["L1"], consts["L2"]
     k_max = 0
-    while 2.0 ** (-k_max / 2.0) > tail_mass:
+    while 2.0 ** (-k_max / 2.0) > DENSITY_TAIL_MASS:
         k_max += 1
     bands = []
     for k in range(k_max):
@@ -509,7 +508,7 @@ def density_of_f(model: ProcessModel, tail_mass: float = 1e-12):
     for p_k, d_k in bands:
         for i in range(bisect.bisect_left(mids, d_k / 2.0), bisect.bisect_left(mids, d_k)):
             vals[i] += p_k / d_k  # equals L1 or L2
-    # first interval [pos[0]/?]: below the smallest emitted band it is tail
+    # the middle interval (-pos[0], pos[0]) lies below every emitted band
     bps = np.array([-x for x in reversed(pos)] + pos)
     values = np.array(list(reversed(vals)) + [0.0] + vals)
     return PiecewiseDensity(breakpoints=bps, values=values)

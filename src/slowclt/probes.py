@@ -53,8 +53,7 @@ class MixingProfile:
 
 
 def _rate_at(sched: Schedule, k: int) -> float:
-    a = RateSequence.from_descriptor(sched.rate_descriptor)
-    return a(sched.n[k])
+    return RateSequence.from_descriptor(sched.rate_descriptor)(sched.n[k])
 
 
 def llt_probe_lattice(model: ProcessModel, sched: Schedule, k: int,

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import (
+    ProcessModel,
     RateSequence,
     Schedule,
     build_counterexample,
@@ -74,12 +75,17 @@ class ExperimentConfig:
                 f"(expected {SCHEMA_VERSION})"
             )
         for name, typ in _CONFIG_FIELDS.items():
-            if name in raw and not isinstance(raw[name], typ):
+            if name in raw and (not isinstance(raw[name], typ) or isinstance(raw[name], bool)):
                 raise ConfigError(f"config field {name!r} must be {typ.__name__}")
         if raw["variant"] not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}")
-        if raw["K"] < 1:
-            raise ConfigError("K must be >= 1")
+        for name, least in (("K", 1), ("seed", 0), ("mc_reps", 0)):
+            if raw.get(name, least) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        try:
+            RateSequence.from_descriptor(raw["rate"])
+        except ValueError as exc:
+            raise ConfigError(f"config field 'rate': {exc}") from exc
         kwargs = {k: v for k, v in raw.items() if k != "schema_version"}
         return cls(**kwargs)
 
@@ -113,8 +119,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     if config.variant == "iid-baseline":
         results = _run_baseline(config)
         return ReportBundle(config, None, results, time.monotonic() - t0)
-    rate = RateSequence.from_descriptor(config.rate)
-    sched = derive_schedule(config.variant, rate, config.K, **config.constants)
+    sched = schedule_of(config)
     model = build_counterexample(sched)
     results: list[pr.ProbeResult] = []
     if config.variant in ("thm1", "thm3"):
@@ -139,16 +144,27 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         results.append(pr.density_bound_probe(model))
         results.append(pr.variance_probe(model))
         results.append(pr.mds_conditional_mean_test(model, window=3))
-    summary = {
-        "towers": len(model.system.towers),
-        "states": model.system.n_states,
-        "heights": [int(h) for h in model.system.heights],
-        "masses": [model.system.towers[i].mass for i in range(len(model.system.towers))],
+    return ReportBundle(config, sched, results, time.monotonic() - t0, model_summary(model))
+
+
+def schedule_of(config: ExperimentConfig) -> Schedule:
+    """The schedule of a (non-baseline) config's variant, rate, K and constants."""
+    rate = RateSequence.from_descriptor(config.rate)
+    return derive_schedule(config.variant, rate, config.K, **config.constants)
+
+
+def model_summary(model: ProcessModel) -> dict:
+    """The fields of a certificate's model record."""
+    sys_ = model.system
+    return {
+        "towers": len(sys_.towers),
+        "states": sys_.n_states,
+        "heights": [int(h) for h in sys_.heights],
+        "masses": [t.mass for t in sys_.towers],
         "mu_inactive": model.mu_inactive,
         "sigma2": model.sigma2,
         "noise": model.noise.kind,
     }
-    return ReportBundle(config, sched, results, time.monotonic() - t0, summary)
 
 
 def _run_baseline(config: ExperimentConfig) -> list[pr.ProbeResult]:
@@ -183,9 +199,7 @@ def _run_baseline(config: ExperimentConfig) -> list[pr.ProbeResult]:
 def _fmt(x) -> object:
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
-    if isinstance(x, float):
-        return float("%.17g" % x)
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, (float, np.floating)):
         return float("%.17g" % float(x))
     if isinstance(x, (np.integer,)):
         return int(x)
@@ -353,9 +367,7 @@ def verify_certificate(ndjson_path: str) -> list[str]:
     try:
         config = ExperimentConfig.from_dict(
             {k: v for k, v in header.items() if k not in ("record", "version")})
-        if config.variant != "iid-baseline":
-            RateSequence.from_descriptor(config.rate)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ParseError(f"malformed certificate header: {exc}") from exc
     kinds = [rec.get("record") if isinstance(rec, dict) else None for rec in records[1:]]
     for kind in kinds:

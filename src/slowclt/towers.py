@@ -20,6 +20,7 @@ from .errors import MassSumError
 
 MASS_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
+TRAJECTORY_BLOCK = 1 << 14  # reps per substream of sample_trajectory_batch
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,16 @@ def build_tower_system(specs: Sequence[TowerSpec]) -> TowerSystem:
 
 
 def sample_trajectory_batch(
-    sys: TowerSystem, seed: int, n: int, reps: int, block: int = 1 << 14
+    sys: TowerSystem, seed: int, n: int, reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary trajectories: (reps, n) arrays of tower and level.
 
-    Deterministic per seed; reps are split into fixed-size blocks with
-    independent substreams, so results do not depend on worker count.  A
-    start is one uniform draw u, read through the cumulative tower masses to
-    a tower and then through its level mass to a level: the draw and the
-    cumulative-mass search of rng.choice(n_states, p=stationary_array()),
-    with no per-state table.
+    Deterministic per seed: block b of TRAJECTORY_BLOCK reps draws from its
+    own substream SeedSequence([seed, b]), so every full block is the same
+    whatever reps is.  A start is one uniform draw u, read through the
+    cumulative tower masses to a tower and then through its level mass to a
+    level: the draw and the cumulative-mass search of
+    rng.choice(n_states, p=stationary_array()), with no per-state table.
     """
     towers = np.empty((reps, n), dtype=np.int32)
     levels = np.empty((reps, n), dtype=np.int32)
@@ -112,9 +113,9 @@ def sample_trajectory_batch(
     upto = np.cumsum(sys._masses)
     below = upto - sys._masses
     cum = np.cumsum(sys.landing)
-    for b0 in range(0, reps, block):
-        b1 = min(b0 + block, reps)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), b0 // block]))
+    for b0 in range(0, reps, TRAJECTORY_BLOCK):
+        b1 = min(b0 + TRAJECTORY_BLOCK, reps)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), b0 // TRAJECTORY_BLOCK]))
         u = rng.random(b1 - b0)
         tw = np.minimum(np.searchsorted(upto, u, side="right"), len(heights) - 1).astype(np.int32)
         lv = np.minimum((u - below[tw]) // sys.level_masses[tw], heights[tw] - 1).astype(np.int32)

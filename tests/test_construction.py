@@ -47,12 +47,18 @@ class TestRateSequence:
         b = RateSequence.from_descriptor(a.descriptor)
         assert b(37) == a(37)
 
-    @pytest.mark.parametrize("variant, K", [("thm1", 1), ("thm2", 2), ("thm3", 2)])
-    def test_custom_rate_rejected_at_schedule(self, variant, K):
-        # the probes and verify rebuild a_n from the schedule's descriptor
-        custom = RateSequence(lambda n: 0.5 / math.sqrt(n))
-        with pytest.raises(ValueError, match="unknown rate family 'custom'"):
-            derive_schedule(variant, custom, K)
+    @pytest.mark.parametrize("c, beta", [
+        ("0.5", 0.5), (0.5, True), (True, 1.0), (None, 0.5), (0.0, 0.5), (0.5, -1.0),
+        (math.inf, 0.5), (0.5, math.nan),
+    ])
+    def test_non_number_or_non_positive_rejected(self, c, beta):
+        with pytest.raises(ValueError, match="power law needs a finite number"):
+            RateSequence(c, beta)
+        with pytest.raises(ValueError, match="power law needs a finite number"):
+            RateSequence.from_descriptor({"family": "power-law", "c": c, "beta": beta})
+
+    def test_descriptor_holds_floats(self):
+        assert RateSequence(1, 2).descriptor == {"family": "power-law", "c": 1.0, "beta": 2.0}
 
 
 class TestScheduleThm1:

@@ -427,6 +427,44 @@ class TestCli:
                      "--K", "3", "--out", out]) == 0
         assert main(["verify", os.path.join(out, "report.ndjson")]) == 0
 
+    @pytest.mark.parametrize("over", [
+        {"schema_version": True}, {"K": True}, {"seed": False}, {"mc_reps": False},
+        {"seed": -3}, {"mc_reps": -5},
+        {"rate": {"family": "power-law", "c": "0.5", "beta": True}},
+        {"rate": {"family": "power-law", "c": 0.5}},
+        {"rate": {"family": "power-law", "c": 0.5, "beta": 0.5, "bogus": 1}},
+        {"rate": {"family": "bogus", "c": 0.5, "beta": 0.5}},
+    ])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, over):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE, **over}))
+        assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report.ndjson").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-3"],
+        ["--variant", "thm2", "--rate-c", "0.05", "--rate-beta", "1", "--K", "4",
+         "--mc-reps", "-5"],
+        ["--rate-c", "nan"],
+    ])
+    def test_bad_flag_value_exit_2(self, tmp_path, capsys, flags):
+        assert main(["report", *flags, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report.ndjson").exists()
+
+    def test_bool_k_in_header_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["report", "--variant", "iid-baseline", "--K", "1", "--out", out]) == 0
+        path = os.path.join(out, "report.ndjson")
+        lines = open(path).read().splitlines()
+        header = json.loads(lines[0])
+        header["K"] = True
+        lines[0] = json.dumps(header, sort_keys=True)
+        open(path, "w").write("\n".join(lines) + "\n")
+        assert main(["verify", path]) == 1
+        assert "malformed certificate header" in capsys.readouterr().err
+
     def test_tampered_certificate_exit_code(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["report", "--variant", "iid-baseline", "--out", out]) == 0
@@ -609,6 +647,47 @@ class TestProbeMds:
         main(["probe", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "1",
               "--K", "2", "mds", "--mc-reps", "20000"])
         assert json.loads(capsys.readouterr().out)["method"] == "monte-carlo"
+
+
+# one small instance of each variant, as flags of every subcommand but verify
+CLI_FLAGS = {
+    "thm1": ["--variant", "thm1", "--K", "3"],
+    "thm3": ["--variant", "thm3", "--rate-c", "0.25", "--K", "3"],
+    "thm2": ["--variant", "thm2", "--rate-c", "0.05", "--rate-beta", "1", "--K", "4"],
+}
+# the probe subcommand's name for each probe record it can reproduce
+PROBE_NAMES = {"llt": "llt", "llt-ratio": "llt", "clt": "clt", "mds": "mds",
+               "mixing": "mixing", "variance": "variance"}
+
+
+@pytest.mark.parametrize("variant", sorted(CLI_FLAGS))
+def test_cli_prints_certificate_records(tmp_path, capsys, variant):
+    flags = CLI_FLAGS[variant]
+
+    def printed(*args):
+        rc = main([*args])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == (0 if out.get("passed", True) else 1)
+        return out
+
+    assert main(["report", *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in open(tmp_path / "report.ndjson")]
+    schedule, model = records[1], records[2]
+    assert printed("schedule", *flags) == schedule
+    built = printed("build", *flags)
+    assert built == {**model, "variant": variant, "aperiodic": True}
+    probed = set()
+    for rec in records[3:]:
+        name = PROBE_NAMES.get(rec["name"])
+        if name is None:
+            continue
+        k = ["--k", str(rec["index"])] if name in ("llt", "clt") else []
+        assert printed("probe", *flags, name, *k) == rec
+        probed.add(rec["name"])
+    assert probed >= {"clt", "variance"}
+    mc = printed("probe", *flags, "mds", "--mc-reps", "20000")
+    assert mc["method"] == "monte-carlo" and type(mc["passed"]) is bool
 
 
 # Linux carries a process's peak resident set size across fork and exec, so
