@@ -3,8 +3,9 @@
 Three constructions built on finite tower families: one with arbitrarily slow
 central-limit rates on the integer lattice, one with a bounded marginal
 density, and one that is beta-mixing at any prescribed summable rate.  Every
-claimed inequality is checked by exact computation at small scale, with
-Monte Carlo as an independent cross-check.
+claimed inequality is checked by exact computation at small scale.  Monte
+Carlo enters only as an optional cross-check of the density variant's
+interval probability, and never into a certified value.
 """
 
 from .construction import (

@@ -98,8 +98,7 @@ def _cmd_probe(args) -> int:
     elif args.name == "clt":
         res = pr.clt_probe(model, sched, k)
     elif args.name == "mds":
-        res = pr.mds_conditional_mean_test(model, window=3, reps=config.mc_reps,
-                                           seed=config.seed)
+        res = pr.mds_conditional_mean_test(model, window=3)
     elif args.name == "mixing":
         res = pr.mixing_probe(tower_chain_system(sched), sched)
     else:

@@ -29,8 +29,7 @@ class DegenerateModel(SlowCltError):
 
 # distributions
 class BudgetExceeded(SlowCltError):
-    """The grid of interval_probability needs more cells than its budget, or
-    the strong-MDS bin key of probes._mds_bin_index overflows int64."""
+    """The grid of interval_probability needs more cells than its budget."""
 
 
 # probes

@@ -21,8 +21,8 @@ from .distributions import (
     root_n_interval_probability,
     sample_partial_sums,
 )
-from .errors import BudgetExceeded, EvenIndex, LatticeMismatch, VariantMismatch
-from .towers import TowerSystem, enumerate_paths, sample_trajectory_batch
+from .errors import EvenIndex, LatticeMismatch, VariantMismatch
+from .towers import TowerSystem, enumerate_paths
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
 
@@ -34,7 +34,7 @@ class ProbeResult:
     value: float
     bound: float
     direction: str  # ">=" or "<="
-    method: str  # "exact" | "exact-lower-bound" | "monte-carlo"
+    method: str  # "exact" | "exact-lower-bound"
     error: float = 0.0
     details: dict = field(default_factory=dict)
 
@@ -198,40 +198,24 @@ def variance_probe(model: ProcessModel) -> ProbeResult:
 # -- strong-MDS tests ------------------------------------------------------
 
 
-def mds_conditional_mean_test(
-    model: ProcessModel,
-    window: int,
-    reps: int = 0,
-    seed: int = 0,
-    filter_coeff: float = 0.0,
-) -> ProbeResult:
+def mds_conditional_mean_test(model: ProcessModel, window: int,
+                              filter_coeff: float = 0.0) -> ProbeResult:
     """Conditional mean of the middle coordinate j = window // 2 given everything else.
 
-    Exact route (reps <= 0): given the whole path and the other noise values,
-    the mean of f_j is w(x_j) E g + c w(x_{j-1}) g_{j-1}, c = filter_coeff,
-    because the noise factor is independent of the tower factor.  The value
-    is its largest modulus over every positive-probability pair of
-    consecutive states (a level step inside a tower, or a top-to-base
-    landing) and every g_{j-1} in the noise support; all must vanish.  One
-    pass over the weight runs; _mds_exact is its brute-force oracle.  Monte
-    Carlo route (reps > 0): bin samples by the tower sequence and the signs of
-    the other noise values, and demand every bin mean stay within 4 standard
-    errors of 0.  filter_coeff != 0 replaces f_j by f_j + filter_coeff * f_{j-1}, a
-    deliberately non-MDS control.
+    Given the whole path and the other noise values, the mean of f_j is
+    w(x_j) E g + c w(x_{j-1}) g_{j-1}, c = filter_coeff, because the noise
+    factor is independent of the tower factor.  The value is its largest
+    modulus over every positive-probability pair of consecutive states (a
+    level step inside a tower, or a top-to-base landing) and every g_{j-1}
+    in the noise support; all must vanish.  One pass over the weight runs;
+    _mds_exact is its brute-force oracle.  filter_coeff != 0 replaces f_j by
+    f_j + filter_coeff * f_{j-1}, a deliberately non-MDS control.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    j = window // 2
-    if reps <= 0:
-        return ProbeResult(
-            name="mds", index=window, value=_mds_tower_level(model, j, filter_coeff),
-            bound=1e-12, direction="<=", method="exact",
-        )
-    value, nbins = _mds_mc(model, window, j, reps, seed, filter_coeff)
     return ProbeResult(
-        name="mds", index=window, value=value, bound=4.0,
-        direction="<=", method="monte-carlo", error=0.0,
-        details={"bins": nbins, "statistic": "max |bin mean| / bin se"},
+        name="mds", index=window, value=_mds_tower_level(model, window // 2, filter_coeff),
+        bound=1e-12, direction="<=", method="exact",
     )
 
 
@@ -298,51 +282,11 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
     return worst
 
 
-def _mds_bin_index(towers: np.ndarray, g: np.ndarray, j: int, n_towers: int) -> np.ndarray:
-    """Conditioning bin of each sample: tower sequence + signs of the other noise coordinates.
-
-    The row (towers, sign + 1) is read as one mixed-radix integer, radix
-    n_towers per tower column and 3 per sign column.  The key orders rows
-    lexicographically, so the bins are numbered exactly as by row-unique.
-    """
-    others = [i for i in range(g.shape[1]) if i != j]
-    span = n_towers ** towers.shape[1] * 3 ** len(others)
-    if span > np.iinfo(np.int64).max:
-        raise BudgetExceeded(f"strong-MDS bin key needs {span} values, more than int64 holds")
-    key = np.zeros(len(towers), dtype=np.int64)
-    for c in range(towers.shape[1]):
-        key = key * n_towers + towers[:, c]
-    for i in others:
-        key = key * 3 + (np.sign(g[:, i]).astype(np.int64) + 1)
-    return np.unique(key, return_inverse=True)[1]
-
-
-def _mds_mc(model, window, j, reps, seed, filter_coeff):
-    sys = model.system
-    towers, levels = sample_trajectory_batch(sys, seed, window, reps)
-    w = model.weight_at(sys.offsets[towers] + levels)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6d6473]))
-    g = model.noise.sample(rng, (reps, window))
-    f = w[:, j] * g[:, j]
-    if filter_coeff and j >= 1:
-        f = f + filter_coeff * w[:, j - 1] * g[:, j - 1]
-    inverse = _mds_bin_index(towers, g, j, len(sys.towers))
-    # max |bin mean| / bin se over the bins with 30 samples and a positive se
-    counts = np.bincount(inverse)
-    keep = counts >= 30
-    c = counts[keep]
-    mean = np.bincount(inverse, weights=f)[keep] / c
-    var = np.maximum(np.bincount(inverse, weights=f * f)[keep] / c - mean * mean, 0.0)
-    se = np.sqrt(var / c)
-    used = se > 0.0
-    return np.max(np.abs(mean[used]) / se[used], initial=0.0), int(used.sum())
-
-
-def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
-    """min over positive-probability histories of E(f^2 | history).
+def conditional_variance_floor(model: ProcessModel) -> ProbeResult:
+    """min over positive-probability histories of E(f^2 | history), index 1.
 
     Every state is reachable from a positive-measure start, so for any
-    depth >= 1 the minimum equals the minimum over current states of
+    history depth >= 1 the minimum equals the minimum over current states of
     Var(g) * E(weight^2 at the next state | current state).  For the
     constructed models the floor is exactly 0 - from deep inside an
     inactive slab the next state is again inactive - which is the
@@ -350,15 +294,13 @@ def conditional_variance_floor(model: ProcessModel, depth: int) -> ProbeResult:
     """
     if model.noise.kind != "lattice":
         raise VariantMismatch("variance-floor probe is for lattice models")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     # the next state is a level >= 1 of the same tower, or a landed base
     climbed = [v * v for tower in model.runs for _, e, v in tower if e > 1]
     bases = [tower[0][2] for tower in model.runs]
     landed = float(np.dot(model.system.landing, np.square(bases)))
     value = model.noise.variance * min(climbed + [landed])
     return ProbeResult(
-        name="variance-floor", index=depth, value=value, bound=1e-15,
+        name="variance-floor", index=1, value=value, bound=1e-15,
         direction="<=", method="exact",
         details={"is_zero": value == 0.0},
     )

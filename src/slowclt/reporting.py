@@ -79,6 +79,8 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {name!r} must be {typ.__name__}")
         if raw["variant"] not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}")
+        if raw["variant"] == "iid-baseline" and raw.get("constants"):
+            raise ConfigError("iid-baseline reads no constants")
         for name, least in (("K", 1), ("seed", 0), ("mc_reps", 0)):
             if raw.get(name, least) < least:
                 raise ConfigError(f"{name} must be >= {least}")
@@ -131,7 +133,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
             results.append(pr.mds_conditional_mean_test(model, window=3))
         else:
             results.append(pr.mixing_probe(tower_chain_system(sched), sched))
-            results.append(pr.conditional_variance_floor(model, depth=1))
+            results.append(pr.conditional_variance_floor(model))
     else:  # thm2
         for k in range(sched.K):
             if k % 2 == 0:

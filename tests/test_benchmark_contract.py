@@ -6,7 +6,10 @@ functions and TowerSystem.push_forward by name.  An API change that breaks
 either fails here rather than only when the benchmark runs.
 """
 
+import importlib
 import importlib.util
+import inspect
+import json
 import re
 import subprocess
 import sys
@@ -78,3 +81,36 @@ def test_tracer_reads_occupancy_calls():
     finally:
         tracer.uninstall()
     assert tracing.layer_metrics(tracer.spans)["towers.occupancy_distribution_calls"] == 1
+
+
+def _public_function(layer: str, name: str) -> bool:
+    """Whether slowclt.<layer>.<name> is a public function defined in that
+    module, which is what the tracer labels <layer>.<name>."""
+    obj = getattr(importlib.import_module(f"slowclt.{layer}"), name, None)
+    return (not name.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == f"slowclt.{layer}")
+
+
+def test_traced_names_resolve():
+    # a per-layer timing, or a per-call attribute, of a function that was
+    # deleted or renamed reads 0 on every workload instead of failing
+    tracing = _tracing()
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    timed = [m["name"] for m in spec["per_layer"] if m["name"].endswith("_s")]
+    missing = []
+    for metric in timed:
+        layer, _, fn = metric[:-len("_s")].partition(".")
+        if fn == "self" or metric == "trace.overhead_s":
+            continue
+        if layer not in tracing.LAYERS or not _public_function(layer, fn):
+            missing.append(metric)
+    for label in tracing.ATTRS:
+        layer, _, fn = label.partition(".")
+        if not _public_function(layer, fn):
+            missing.append(label)
+    for layer, cls_name, meth in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"slowclt.{layer}"), cls_name, None)
+        if not inspect.isfunction(vars(cls).get(meth) if cls is not None else None):
+            missing.append(f"{layer}.{cls_name}.{meth}")
+    assert len(timed) > 5
+    assert not missing, missing

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowclt import (
-    BudgetExceeded,
     EvenIndex,
     LatticeDistribution,
     LatticeMismatch,
@@ -28,7 +27,6 @@ from slowclt import (
     mds_conditional_mean_test,
     mixing_probe,
     mixing_profile,
-    sample_trajectory_batch,
 )
 from slowclt.construction import (
     LatticeNoise,
@@ -38,7 +36,7 @@ from slowclt.construction import (
     tower_chain_system,
 )
 from slowclt import probes
-from slowclt.probes import ProbeResult, _mds_bin_index, _mds_exact, _mixing_lags, variance_probe
+from slowclt.probes import ProbeResult, _mds_exact, _mixing_lags, variance_probe
 
 from helpers import runs_of
 
@@ -169,68 +167,6 @@ class TestMdsConditionalMean:
         assert r.value > 1e-3
         assert not r.passed
 
-    def test_monte_carlo_passes_on_desk_instance(self):
-        s = derive_schedule_thm3(DESK_THM3, 2)
-        m = build_counterexample(s)
-        r = mds_conditional_mean_test(m, 3, reps=150_000, seed=2)
-        assert r.method == "monte-carlo"
-        assert r.passed
-
-    @pytest.mark.parametrize("filter_coeff", [0.0, 0.5])
-    def test_monte_carlo_equals_per_bin_loop(self, filter_coeff):
-        # the per-bin loop the array statistic replaced, on the same samples
-        s = derive_schedule("thm1", RateSequence.power_law(0.5, 1.0), 2)
-        m = build_counterexample(s)
-        window, j, reps, seed = 3, 1, 20_000, 0
-        towers, levels = sample_trajectory_batch(m.system, seed, window, reps)
-        w = m.weight_at(m.system.offsets[towers] + levels)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6d6473]))
-        g = m.noise.sample(rng, (reps, window))
-        f = w[:, j] * g[:, j] + filter_coeff * w[:, j - 1] * g[:, j - 1]
-        inverse = _mds_bin_index(towers, g, j, len(m.system.towers))
-        sums = np.bincount(inverse, weights=f)
-        sqs = np.bincount(inverse, weights=f * f)
-        counts = np.bincount(inverse)
-        worst, used = 0.0, 0
-        for b in range(len(counts)):
-            c = counts[b]
-            if c < 30:
-                continue
-            mean = sums[b] / c
-            var = max(sqs[b] / c - mean * mean, 0.0)
-            se = math.sqrt(var / c) if var > 0 else 0.0
-            if se == 0.0:
-                continue
-            used += 1
-            worst = max(worst, abs(mean) / se)
-        r = mds_conditional_mean_test(m, window, reps=reps, seed=seed,
-                                      filter_coeff=filter_coeff)
-        assert (r.value, r.details["bins"]) == (worst, used)
-        assert used > 0
-
-    def test_bin_index_equals_row_unique(self):
-        # the mixed-radix key numbers bins exactly as np.unique(axis=0) does
-        s = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 12)
-        m = build_counterexample(s)
-        window, reps = 3, 50_000
-        towers, _ = sample_trajectory_batch(m.system, 0, window, reps)
-        g = m.noise.sample(np.random.default_rng(0), (reps, window))
-        got = _mds_bin_index(towers, g, 1, len(m.system.towers))
-        rows = np.concatenate([towers, np.sign(g[:, [0, 2]]).astype(np.int64) + 1], axis=1)
-        want = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-        assert np.array_equal(got, want)
-
-    def test_bin_key_overflow_raises(self):
-        towers = np.zeros((4, 30), dtype=np.int64)
-        g = np.ones((4, 30))
-        with pytest.raises(BudgetExceeded):
-            _mds_bin_index(towers, g, 15, 1000)
-
-    def test_monte_carlo_control_process_fails(self):
-        m = small_model()
-        r = mds_conditional_mean_test(m, 3, reps=150_000, seed=2, filter_coeff=0.5)
-        assert not r.passed
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), window=st.integers(2, 5), filter_coeff=st.sampled_from([0.0, 0.5]))
     def test_tower_level_equals_path_enumeration(self, data, window, filter_coeff):
@@ -277,20 +213,16 @@ class TestMdsConditionalMean:
 
 class TestConditionalVarianceFloor:
     def test_zero_floor_with_inactive_slab(self):
-        r = conditional_variance_floor(small_model(), depth=1)
+        r = conditional_variance_floor(small_model())
         assert r.value == 0.0
         assert r.passed
 
     def test_positive_floor_without_slab(self):
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
         m = ProcessModel("thm1", sys_, LatticeNoise(0.5), runs_of(sys_, np.ones(5)))
-        r = conditional_variance_floor(m, depth=1)
+        r = conditional_variance_floor(m)
         assert r.value == pytest.approx(0.5)
         assert not r.passed
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            conditional_variance_floor(small_model(), depth=0)
 
 
 class TestMixing:

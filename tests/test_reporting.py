@@ -434,6 +434,7 @@ class TestCli:
         {"rate": {"family": "power-law", "c": 0.5}},
         {"rate": {"family": "power-law", "c": 0.5, "beta": 0.5, "bogus": 1}},
         {"rate": {"family": "bogus", "c": 0.5, "beta": 0.5}},
+        {"variant": "iid-baseline", "constants": {"bogus": 1}},
     ])
     def test_bad_config_value_exit_2(self, tmp_path, capsys, over):
         cfg = tmp_path / "cfg.json"
@@ -447,6 +448,7 @@ class TestCli:
         ["--variant", "thm2", "--rate-c", "0.05", "--rate-beta", "1", "--K", "4",
          "--mc-reps", "-5"],
         ["--rate-c", "nan"],
+        ["--variant", "iid-baseline", "--constants", '{"bogus": 1}', "--K", "99"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, flags):
         assert main(["report", *flags, "--out", str(tmp_path)]) == 2
@@ -597,6 +599,8 @@ HEADER_DEFECTS = {
     "K not an integer": lambda h: h.update(K="two"),
     "rate without c": lambda h: h["rate"].pop("c"),
     "unknown rate family": lambda h: h["rate"].update(family="bogus"),
+    "iid-baseline with constants": lambda h: h.update(variant="iid-baseline",
+                                                      constants={"bogus": 1}),
 }
 
 
@@ -635,6 +639,35 @@ class TestSeedIndependence:
         assert texts[seed][1:] == texts[0][1:]
 
 
+class TestNoMonteCarloInCertifiedValues:
+    def test_mc_reps_changes_only_cross_check_keys(self, tmp_path):
+        # the thm2 interval-probability cross-check is the one reader of
+        # mc_reps and seed, and it writes only its own three detail keys
+        rate = _power_law(0.05, 1.0)
+        texts = {}
+        for reps, seed in ((0, 0), (20_000, 5)):
+            bundle = run_experiment(desk_config(variant="thm2", rate=rate, K=4,
+                                                mc_reps=reps, seed=seed))
+            path = write_report(bundle, str(tmp_path / f"r{reps}"))["ndjson"]
+            texts[reps] = [json.loads(line) for line in open(path)]
+        cross_check = {"mc_interval_probability", "mc_se", "mc_consistent"}
+        ratios = 0
+        for plain, checked in zip(texts[0][1:], texts[20_000][1:], strict=True):
+            if checked.get("name") == "llt-ratio":
+                ratios += 1
+                assert set(checked["details"]) - set(plain["details"]) == cross_check
+                checked = {**checked, "details": {k: v for k, v in checked["details"].items()
+                                                  if k not in cross_check}}
+            assert checked == plain
+        assert ratios > 0
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_every_probe_record_is_exact(self, golden, variant):
+        probes = [json.loads(line) for line in golden[variant]]
+        methods = {rec["method"] for rec in probes if rec["record"] == "probe"}
+        assert methods and methods <= {"exact", "exact-lower-bound"}
+
+
 class TestProbeMds:
     def test_exact_by_default(self, capsys):
         rc = main(["probe", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "1",
@@ -642,11 +675,6 @@ class TestProbeMds:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["method"], out["value"]) == ("exact", 0.0)
-
-    def test_monte_carlo_with_mc_reps(self, capsys):
-        main(["probe", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "1",
-              "--K", "2", "mds", "--mc-reps", "20000"])
-        assert json.loads(capsys.readouterr().out)["method"] == "monte-carlo"
 
 
 # one small instance of each variant, as flags of every subcommand but verify
@@ -686,8 +714,10 @@ def test_cli_prints_certificate_records(tmp_path, capsys, variant):
         assert printed("probe", *flags, name, *k) == rec
         probed.add(rec["name"])
     assert probed >= {"clt", "variance"}
-    mc = printed("probe", *flags, "mds", "--mc-reps", "20000")
-    assert mc["method"] == "monte-carlo" and type(mc["passed"]) is bool
+    # --mc-reps reaches no mds value: the probe prints the report's record,
+    # or for thm3, whose report has none, the exact route's
+    mds = [rec for rec in records[3:] if rec["name"] == "mds"] or [printed("probe", *flags, "mds")]
+    assert [printed("probe", *flags, "mds", "--mc-reps", "20000")] == mds
 
 
 # Linux carries a process's peak resident set size across fork and exec, so
