@@ -255,10 +255,13 @@ def derive_schedule_thm3(
         prev = n_k
     if sum(ps) >= 1.0:
         raise ScheduleInfeasible("tower masses p_k reached 1")
+    # the remainder is taken coprime to gcd(4 n_k^2) before the tallest tower
+    # is bumped: that tower alone lands too little mass to break the chain's
+    # near 2-periodicity
+    rem_h = _remainder_height(hs, min_height=max(ns) + 1)
     while math.gcd(*hs) > 1:
         hs[-1] += 1
     rem = 1.0 - sum(ps)
-    rem_h = _remainder_height(hs, min_height=max(ns) + 1)
     eps = tuple(eps0 * 2.0 ** (-k) for k in range(K))
     # remainder-mass ratios: delta_k = p'_{k+1} / p'_k with p'_k the mass
     # still unassigned before step k

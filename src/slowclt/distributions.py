@@ -2,12 +2,14 @@
 
 Lattice laws are exact mixtures of noise convolutions conditioned on the
 occupancy count.  The density probe's b_n = P(|g_1+...+g_n| <= sqrt(n)) is
-bracketed in rational arithmetic: the Binomial x Irwin-Hall form of the
-noise sum regroups into one CDF sum over O(n) distinct Irwin-Hall points,
-weighted by the coefficients of (1 + y^3)^n (1 - y)^n, and the symmetry of
-the sum leaves only its lower tail to evaluate.  General interval
-probabilities use a grid convolution whose error is tracked through the
-Kolmogorov-distance subadditivity of independent convolution.
+one exact rational evaluation just below sqrt(n), and the noise sum's
+density, at most 1, bounds what it leaves out.  The Binomial x Irwin-Hall
+form of the noise sum regroups into one CDF sum over O(n) distinct
+Irwin-Hall points, weighted by the coefficients of (1 + y^3)^n (1 - y)^n,
+and the symmetry of the sum leaves only its lower tail to evaluate.
+General interval probabilities use a grid convolution whose error is
+tracked through the Kolmogorov-distance subadditivity of independent
+convolution.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -237,20 +240,7 @@ def _tail_coefficients(n: int) -> list[int]:
     return d[3:]
 
 
-def _two_interval_from_table(n: int, d: list[int], u):
-    """two_interval_sum_probability(n, u) from d = _tail_coefficients(n)."""
-    from fractions import Fraction
-
-    # 2u = U2/Q, so with i = 2n - e each term is d_e (iQ - U2)^n / Q^n, an
-    # integer over Q^n, and it is nonzero for the i > 2u
-    Q = u.denominator
-    U2 = 2 * u.numerator
-    scale = 2**n * math.factorial(n) * Q**n
-    tail = sum(d[2 * n - i] * (i * Q - U2) ** n for i in range(U2 // Q + 1, 2 * n + 1))
-    return Fraction(scale - 2 * tail, scale)
-
-
-def two_interval_sum_probability(n: int, u):
+def two_interval_sum_probability(n: int, u) -> Fraction:
     """P(|g_1 + ... + g_n| <= u) as a Fraction, for rational u >= 0.
 
     g = s (3/4 + V) with a fair sign s and V ~ U(-1/4, 1/4), and s V has the
@@ -267,57 +257,42 @@ def two_interval_sum_probability(n: int, u):
     = 1 - 2 P(S_n < -u).  The arithmetic is in integers, so the Fraction is
     exact.
     """
-    from fractions import Fraction
-
     if n < 1:
         raise ValueError("n must be >= 1")
     u = Fraction(u)
     if u < 0:
         raise ValueError("u must be >= 0")
-    return _two_interval_from_table(n, _tail_coefficients(n), u)
-
-
-ROOT_N_BITS = 64  # sqrt(n) is bracketed between multiples of 2^-64
-
-
-def root_n_interval_bracket(n: int):
-    """Fractions lo <= P(|g_1 + ... + g_n| <= sqrt(n)) <= hi.
-
-    The probability is non-decreasing in u, so it is bracketed by its values
-    at u_lo = isqrt(n 4^64)/2^64 <= sqrt(n) and u_lo + 2^-64 > sqrt(n); for
-    a perfect square n both ends are the exact value at u = isqrt(n).  The
-    coefficient table depends on n alone, so both ends share it.
-    """
-    from fractions import Fraction
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
     d = _tail_coefficients(n)
-    r = math.isqrt(n)
-    if r * r == n:
-        v = _two_interval_from_table(n, d, Fraction(r))
-        return v, v
-    scale = 1 << ROOT_N_BITS
-    u_lo = Fraction(math.isqrt(n * scale * scale), scale)
-    return (_two_interval_from_table(n, d, u_lo),
-            _two_interval_from_table(n, d, u_lo + Fraction(1, scale)))
+    # 2u = U2/Q, so with i = 2n - e each term is d_e (iQ - U2)^n / Q^n, an
+    # integer over Q^n, and it is nonzero for the i > 2u
+    Q = u.denominator
+    U2 = 2 * u.numerator
+    scale = 2**n * math.factorial(n) * Q**n
+    tail = sum(d[2 * n - i] * (i * Q - U2) ** n for i in range(U2 // Q + 1, 2 * n + 1))
+    return Fraction(scale - 2 * tail, scale)
+
+
+ROOT_N_BITS = 64  # b_n is evaluated at sqrt(n) rounded down to a multiple of 2^-64
 
 
 def root_n_interval_probability(n: int) -> IntervalProbability:
-    """b_n = P(|g_1 + ... + g_n| <= sqrt(n)) for the two-interval noise, exactly.
+    """b_n = P(|g_1 + ... + g_n| <= sqrt(n)) for the two-interval noise.
 
-    value is the lower end of root_n_interval_bracket rounded down to a
-    float and error is (upper end - value) rounded up, so the probability
-    lies in [value, value + error]: the float rounding is inside error and
+    One exact evaluation, at u_lo = isqrt(n 4^64)/2^64, so sqrt(n) - 2^-64 <
+    u_lo <= sqrt(n).  g has density <= 1, and convolving with a probability
+    law cannot raise a density's supremum, so S_n has density <= 1 and b_n -
+    P(|S_n| <= u_lo) = P(u_lo < |S_n| <= sqrt(n)) <= 2 (sqrt(n) - u_lo) <
+    2^-63.  value is P(|S_n| <= u_lo) rounded down to a float and error is
+    (that - value) + 2^-63 rounded up, so b_n lies in [value, value +
+    error]: the float rounding and the gap to sqrt(n) are inside error and
     there is no sampling error.
     """
-    from fractions import Fraction
-
-    lo, hi = root_n_interval_bracket(n)
+    scale = 1 << ROOT_N_BITS
+    lo = two_interval_sum_probability(n, Fraction(math.isqrt(n * scale * scale), scale))
     value = float(lo)
     if Fraction(value) > lo:
         value = math.nextafter(value, -math.inf)
-    gap = hi - Fraction(value)
+    gap = lo - Fraction(value) + Fraction(2, scale)
     error = float(gap)
     if Fraction(error) < gap:
         error = math.nextafter(error, math.inf)

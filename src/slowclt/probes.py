@@ -127,7 +127,8 @@ def llt_probe_density(
     contribute exactly the tower-mass fraction times the noise interval
     probability, by independence of the noise and tower factors.  b_{n_k} =
     P(|g_1 + ... + g_n| <= sqrt(n)) comes from root_n_interval_probability,
-    a rational bracket with no sampling error (b_method "exact-rational").
+    one exact rational evaluation plus the noise sum's unit-density bound,
+    with no sampling error (b_method "exact-rational").
     mc_reps > 0 adds a Monte Carlo cross-check of the whole interval
     probability to the details; it does not enter the certified value.
     """
@@ -308,7 +309,7 @@ def conditional_variance_floor(model: ProcessModel) -> ProbeResult:
 
 # -- mixing ---------------------------------------------------------------
 
-LAG_CAP = 1 << 21  # largest lag the mixing search scans
+LAG_CAP = 1 << 22  # largest lag the mixing search scans
 
 
 def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:

@@ -110,6 +110,13 @@ class TestScheduleThm3:
         assert math.gcd(*s.H) == 1
         assert sum(s.p) < 1.0
 
+    def test_remainder_coprime_to_unbumped_heights(self):
+        # every 4 n_k^2 is even and only the tallest is bumped, so an even
+        # remainder would leave the chain nearly 2-periodic (K = 7: 674)
+        for K in range(2, 10):
+            s = derive_schedule_thm3(DESK_THM3, K)
+            assert math.gcd(s.remainder_height, math.gcd(*(4 * n * n for n in s.n))) == 1
+
     def test_eps_and_delta_decreasing(self):
         s = derive_schedule_thm3(DESK_THM3, 4)
         assert all(a > b for a, b in zip(s.eps, s.eps[1:]))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slowclt import (
@@ -35,7 +35,6 @@ from slowclt.distributions import (
     _interval_probability_grid,
     _tail_coefficients,
     lattice_sum_by_path_enumeration,
-    root_n_interval_bracket,
     root_n_interval_probability,
     sample_partial_sums,
     two_interval_sum_probability,
@@ -244,12 +243,13 @@ class TestRootNIntervalProbability:
 
     def test_b4_is_41_over_48(self):
         assert two_interval_sum_probability(4, 2) == Fraction(41, 48)
-        assert root_n_interval_bracket(4) == (Fraction(41, 48), Fraction(41, 48))
-        assert root_n_interval_probability(4).method == "exact-rational"
+        b = root_n_interval_probability(4)
+        assert Fraction(b.value) <= Fraction(41, 48) <= Fraction(b.value) + Fraction(b.error)
+        assert b.method == "exact-rational"
 
     def test_n1_is_certain(self):
         # |g| <= 1 always
-        assert root_n_interval_bracket(1) == (1, 1)
+        assert two_interval_sum_probability(1, 1) == 1
         assert root_n_interval_probability(1).value == 1.0
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -258,7 +258,7 @@ class TestRootNIntervalProbability:
         # past its default budget, and the call raises BudgetExceeded
         grid = interval_probability([1.0] * n, math.sqrt(n), target_error=1e-5)
         assert grid.method == "grid"
-        lo, hi = root_n_interval_bracket(n)
+        lo, hi = _reference_bracket(n)
         assert abs(grid.value - float(lo)) <= grid.error
         assert abs(grid.value - float(hi)) <= grid.error
 
@@ -266,17 +266,30 @@ class TestRootNIntervalProbability:
         reps = 10**5
         g = TwoIntervalUniformNoise().sample(np.random.default_rng(5), (reps, 7))
         est = float(np.mean(np.abs(g.sum(axis=1)) <= math.sqrt(7)))
-        lo, hi = root_n_interval_bracket(7)
+        lo, hi = _reference_bracket(7)
         assert abs(est - float(lo)) <= 4.0 * math.sqrt(max(est * (1.0 - est), 1.0 / reps) / reps)
         assert 0 < hi - lo < Fraction(1, 10**19)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7, 13, 25, 50, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 13, 25, 26, 50, 51, 100, 101])
     def test_float_interval_contains_bracket(self, n):
-        lo, hi = root_n_interval_bracket(n)
+        # the one evaluation at u_lo plus the unit-density bound covers the
+        # exact values at both multiples of 2^-64 around sqrt(n)
+        lo, hi = _reference_bracket(n)
         b = root_n_interval_probability(n)
-        assert Fraction(b.value) <= lo
+        assert Fraction(b.value) <= lo < Fraction(math.nextafter(b.value, math.inf))
         assert Fraction(b.value) + Fraction(b.error) >= hi
         assert b.lower <= b.value and b.error < 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.fractions(0, 12, max_denominator=2**64),
+           st.fractions(0, 12, max_denominator=2**64))
+    @example(1, Fraction(1, 2), Fraction(1))  # g's own density is 1 there: equality
+    def test_unit_density_bounds_increments(self, n, x, y):
+        # the premise of root_n_interval_probability's error: S_n has density
+        # <= 1, so P(|S_n| <= u) rises by at most 2 (v - u) from u to v
+        u, v = sorted((x, y))
+        assume(u < v)
+        assert two_interval_sum_probability(n, v) - two_interval_sum_probability(n, u) <= 2 * (v - u)
 
     def test_monotone_in_u(self):
         vals = [two_interval_sum_probability(5, Fraction(i, 4)) for i in range(0, 22)]
@@ -289,7 +302,7 @@ class TestRootNIntervalProbability:
         with pytest.raises(ValueError):
             two_interval_sum_probability(3, Fraction(-1, 2))
         with pytest.raises(ValueError):
-            root_n_interval_bracket(0)
+            root_n_interval_probability(0)
 
 
 def _reference_two_interval(n, u):
@@ -353,7 +366,13 @@ class TestSingleCdfSum:
 
     @pytest.mark.parametrize("n", [26, 50, 51, 100, 101])
     def test_bracket_equals_reference(self, n):
-        assert root_n_interval_bracket(n) == _reference_bracket(n)
+        # the one sum at both multiples of 2^-64 around sqrt(n) (at sqrt(n)
+        # itself when n is a square), past the n <= 30 the property test draws
+        scale = 1 << ROOT_N_BITS
+        u_lo = Fraction(math.isqrt(n * scale * scale), scale)
+        u_hi = u_lo if u_lo * u_lo == n else u_lo + Fraction(1, scale)
+        bracket = (two_interval_sum_probability(n, u_lo), two_interval_sum_probability(n, u_hi))
+        assert bracket == _reference_bracket(n)
 
 
 class TestKolmogorovDistance:

@@ -386,6 +386,14 @@ class TestMixing:
         for b_val, eps in zip(r.details["beta_at_m"], s.eps):
             assert b_val <= eps <= 7 * eps
 
+    def test_k7_meets_seven_eps_below_lag_cap(self):
+        # the odd remainder (675) makes beta(m) fall fast enough: every lag
+        # is found below LAG_CAP, the last at 3,825,012
+        s = derive_schedule_thm3(DESK_THM3, 7)
+        r = mixing_probe(tower_chain_system(s), s)
+        assert r.passed
+        assert r.details["m_lags"][-1] == 3_825_012 <= probes.LAG_CAP
+
 
 class TestGnedenkoBaseline:
     COIN = LatticeDistribution(-1, np.array([0.5, 0.0, 0.5]))
