@@ -3,8 +3,9 @@
 A schedule turns a target rate sequence a_n into per-index parameters
 (probe times n_k, tower heights H_k, set masses d_k, tower masses p_k, ...)
 for one of three construction variants; a process model glues the resulting
-tower system to an independent noise factor through a weight that is
-constant on runs of levels, so that the observable is weight(state) * g.
+tower system to an independent noise factor through a weight, so that the
+observable is weight(state) * g.  Each tower weighs 0 on a bottom slab of
+levels and one value above it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .towers import TowerSpec, TowerSystem, build_tower_system
 
-DEFAULT_SEARCH_CAP = 10**7
+SEARCH_CAP = 10**7  # the largest probe time a schedule may take
 DENSITY_TAIL_MASS = 1e-12  # density_of_f drops the bands past this tail mass
 
 SQRT2 = math.sqrt(2.0)
@@ -61,19 +62,18 @@ class RateSequence:
         return RateSequence(desc.get("c"), desc.get("beta"))
 
 
-def _smallest_n_with_rate_below(
-    a: RateSequence, threshold: float, lo: int, cap: int
-) -> int:
-    """Smallest n in [lo, cap] with a_n <= threshold, scanning by doubling +
-    bisection; ScheduleInfeasible when there is none.
+def _smallest_n_with_rate_below(a: RateSequence, threshold: float, lo: int) -> int:
+    """Smallest n in [lo, SEARCH_CAP] with a_n <= threshold, scanning by
+    doubling + bisection; ScheduleInfeasible when there is none.
 
     The comparison carries a 1e-12 relative slack so exact ties (e.g. a
     power-law rate meeting a dyadic threshold on the nose) are accepted
     despite floating-point rounding.
     """
     tol = threshold * (1.0 + 1e-12)
+    cap = SEARCH_CAP
     if lo > cap:
-        raise ScheduleInfeasible(f"search_cap {cap} is below the smallest n left to probe, {lo}")
+        raise ScheduleInfeasible(f"no n <= {cap} is left to probe after n = {lo - 1}")
     if a(lo) <= tol:
         return lo
     hi = lo
@@ -118,9 +118,7 @@ class Schedule:
         return len(self.n)
 
 
-def derive_schedule_thm1(
-    a: RateSequence, K: int, search_cap: int = DEFAULT_SEARCH_CAP
-) -> Schedule:
+def derive_schedule_thm1(a: RateSequence, K: int) -> Schedule:
     """Lattice-variant schedule: d_k = 2 a_{n_k}, rho_k = 2^{-k-1}.
 
     n_k is the smallest admissible time with a_{n_k} <= 2^{-k-3}, which
@@ -133,7 +131,7 @@ def derive_schedule_thm1(
     ns, hs, ds, rhos, ps = [], [], [], [], []
     prev = 0
     for k in range(K):
-        n_k = _smallest_n_with_rate_below(a, 2.0 ** (-(k + 3)), prev + 1, search_cap)
+        n_k = _smallest_n_with_rate_below(a, 2.0 ** (-(k + 3)), prev + 1)
         a_k = a(n_k)
         d_k = 2.0 * a_k
         rho_k = 2.0 ** (-(k + 1))
@@ -167,14 +165,7 @@ def derive_schedule_thm1(
     )
 
 
-def derive_schedule_thm2(
-    a: RateSequence,
-    L1: float,
-    L2: float,
-    L: float,
-    K: int,
-    search_cap: int = DEFAULT_SEARCH_CAP,
-) -> Schedule:
+def derive_schedule_thm2(a: RateSequence, L1: float, L2: float, L: float, K: int) -> Schedule:
     """Density-variant schedule with the geometric tower-mass family."""
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -193,7 +184,7 @@ def derive_schedule_thm2(
     prev = 0
     for k in range(K):
         rho_k = ds[k] / sigma
-        n_k = _smallest_n_with_rate_below(a, rho_k, prev + 1, search_cap)
+        n_k = _smallest_n_with_rate_below(a, rho_k, prev + 1)
         H_k = 2 * n_k
         ns.append(n_k)
         hs.append(H_k)
@@ -231,12 +222,7 @@ def derive_schedule_thm2(
     )
 
 
-def derive_schedule_thm3(
-    a: RateSequence,
-    K: int,
-    search_cap: int = DEFAULT_SEARCH_CAP,
-    eps0: float = 0.05,
-) -> Schedule:
+def derive_schedule_thm3(a: RateSequence, K: int, eps0: float = 0.05) -> Schedule:
     """Mixing-variant schedule: p_k >= 4 a_{n_k}, H_k >= 4 n_k^2, gcd(H) = 1."""
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -246,7 +232,7 @@ def derive_schedule_thm3(
     ns, ps, hs = [], [], []
     prev = 0
     for k in range(K):
-        n_k = _smallest_n_with_rate_below(a, caps[k] / 4.0, prev + 1, search_cap)
+        n_k = _smallest_n_with_rate_below(a, caps[k] / 4.0, prev + 1)
         p_k = 4.0 * a(n_k)
         H_k = 4 * n_k * n_k
         ns.append(n_k)
@@ -288,9 +274,9 @@ def derive_schedule_thm3(
 
 # the constants each variant's schedule takes
 VARIANT_CONSTANTS = {
-    "thm1": ("search_cap",),
-    "thm2": ("L1", "L2", "L", "search_cap"),
-    "thm3": ("search_cap", "eps0"),
+    "thm1": (),
+    "thm2": ("L1", "L2", "L"),
+    "thm3": ("eps0",),
 }
 
 
@@ -298,9 +284,8 @@ def derive_schedule(variant: str, a: RateSequence, K: int, **constants) -> Sched
     """Dispatch to the per-variant schedule rule.
 
     constants holds only names of VARIANT_CONSTANTS[variant], each a finite
-    number (search_cap an int >= 1; eps0 and L1 positive); anything else
-    raises BadConstants.  Density-variant constants default to L1=1, L2=100,
-    L=4.
+    number (eps0 and L1 positive); anything else raises BadConstants.
+    Density-variant constants default to L1=1, L2=100, L=4.
     """
     if variant not in VARIANT_CONSTANTS:
         raise VariantMismatch(f"unknown variant {variant!r}")
@@ -310,19 +295,15 @@ def derive_schedule(variant: str, a: RateSequence, K: int, **constants) -> Sched
             raise BadConstants(f"{variant} takes constants {list(allowed)}, not {name!r}")
         number = not isinstance(v, bool) and (
             isinstance(v, int) or isinstance(v, float) and math.isfinite(v))
-        if name == "search_cap" and not (number and isinstance(v, int) and v >= 1):
-            raise BadConstants(f"constant search_cap must be an int >= 1, got {v!r}")
         positive = name in ("eps0", "L1")
         if not number or (positive and v <= 0):
             raise BadConstants(f"constant {name} must be a {'positive' if positive else 'finite'} "
                                f"number, got {v!r}")
     if variant == "thm1":
-        return derive_schedule_thm1(a, K, **constants)
+        return derive_schedule_thm1(a, K)
     if variant == "thm2":
-        L1 = constants.pop("L1", 1.0)
-        L2 = constants.pop("L2", 100.0)
-        L = constants.pop("L", 4.0)
-        return derive_schedule_thm2(a, L1, L2, L, K, **constants)
+        return derive_schedule_thm2(a, constants.get("L1", 1.0), constants.get("L2", 100.0),
+                                    constants.get("L", 4.0), K)
     return derive_schedule_thm3(a, K, **constants)
 
 
@@ -378,76 +359,74 @@ class TwoIntervalUniformNoise:
 class ProcessModel:
     """Tower system + noise + weight; f(state, g) = weight(state) * g.
 
-    runs[l] holds tower l's weight as runs (start, end, value): value on
-    levels start .. end - 1, the runs in order and covering [0, height).
+    Tower l has weight 0 on its lowest slab[l] levels and value[l] on the
+    levels above; slab[l] = height means weight 0 throughout.  A lattice
+    model's weight is 0 or 1, so the levels above its slabs are its active set.
     """
 
     variant: str
     system: TowerSystem
     noise: object
-    runs: tuple
+    slab: tuple
+    value: tuple
     schedule: Optional[Schedule] = None
 
     def __post_init__(self):
-        if len(self.runs) != len(self.system.towers):
-            raise ValueError("runs need one list per tower")
-        for l, (tower, h) in enumerate(zip(self.runs, self.system.heights.tolist())):
-            edges = [0] + [e for _, e, _ in tower]
-            starts = [s for s, _, _ in tower]
-            if starts != edges[:-1] or edges != sorted(set(edges)) or edges[-1] != h:
-                raise ValueError(f"runs of tower {l} must be non-empty and cover "
-                                 f"[0, {h}) in order")
+        heights = self.system.heights.tolist()
+        if not len(self.slab) == len(self.value) == len(heights):
+            raise ValueError("slab and value need one entry per tower")
+        for l, (s, v, h) in enumerate(zip(self.slab, self.value, heights)):
+            if not (0 <= s <= h and s == int(s)):
+                raise ValueError(f"slab of tower {l} must be an integer in [0, {h}], got {s}")
+            if self.noise.kind == "lattice" and s < h and v != 1.0:
+                raise ValueError(f"a lattice model weighs 0 or 1, but tower {l} has {v}")
 
     @property
     def sigma2(self) -> float:
         lam = self.system.level_masses
-        return math.fsum(lam[l] * (e - s) * v * v for l, tower in enumerate(self.runs)
-                         for s, e, v in tower) * self.noise.variance
+        heights = self.system.heights.tolist()
+        return math.fsum(lam[l] * (h - s) * v * v for l, (s, v, h)
+                         in enumerate(zip(self.slab, self.value, heights))) * self.noise.variance
 
     @property
     def mu_inactive(self) -> float:
         """Measure of the zero-weight set A."""
         lam = self.system.level_masses
-        return math.fsum(lam[l] * (e - s) for l, tower in enumerate(self.runs)
-                         for s, e, v in tower if v == 0.0)
+        heights = self.system.heights.tolist()
+        return math.fsum(lam[l] * (h if v == 0.0 else s) for l, (s, v, h)
+                         in enumerate(zip(self.slab, self.value, heights)))
 
     def weight_at(self, idx) -> np.ndarray:
-        """Weight of each flat state index, read off the run that holds it."""
-        offsets = self.system.offsets
-        starts = [a0 + s for a0, tower in zip(offsets, self.runs) for s, _, _ in tower]
-        values = np.array([v for tower in self.runs for _, _, v in tower])
-        return values[np.searchsorted(starts, idx, side="right") - 1]
+        """Weight of each flat state index: 0 in its tower's slab, the tower's value above."""
+        tower = np.searchsorted(self.system.offsets, idx, side="right") - 1
+        level = idx - self.system.offsets[tower]
+        return np.where(level < np.array(self.slab)[tower], 0.0, np.array(self.value)[tower])
 
 
-def _slab_runs(H: int, slab: int) -> tuple:
-    """Weight 0 on the lowest `slab` levels, the near-invariant slab A_k, and 1 above."""
-    return tuple(r for r in ((0, slab, 0.0), (slab, H, 1.0)) if r[0] < r[1])
-
-
-def build_counterexample(sched: Schedule, noise=None) -> ProcessModel:
-    if noise is None:
-        noise = TwoIntervalUniformNoise() if sched.variant == "thm2" else LatticeNoise(1.0)
-    if sched.variant in ("thm1", "thm3") and noise.kind != "lattice":
-        raise VariantMismatch(f"{sched.variant} needs lattice noise")
-    if sched.variant == "thm2" and noise.kind != "two-interval-uniform":
-        raise VariantMismatch("thm2 needs two-interval-uniform noise")
-    specs, runs = [], []
+def build_counterexample(sched: Schedule) -> ProcessModel:
+    """The variant's model: lattice noise LatticeNoise(1.0) for thm1 and thm3,
+    TwoIntervalUniformNoise for thm2."""
+    towers = []  # (spec, slab, value) of each tower
     for H, n, p, d in zip(sched.H, sched.n, sched.p, sched.d):
         if sched.variant == "thm2":
-            specs.append(TowerSpec(H, p))
-            runs.append(((0, H, d),))
+            towers.append((TowerSpec(H, p), 0, d))
         elif sched.variant == "thm1":
-            specs.append(TowerSpec(H, p))
-            runs.append(_slab_runs(H, H - n + 1))
+            # the near-invariant slab A_k is the lowest H - n + 1 levels
+            towers.append((TowerSpec(H, p), H - n + 1, 1.0))
         else:
             # a marked and an unmarked half of equal mass; the
             # near-invariant slab lives in the marked half only
-            specs += [TowerSpec(H, p / 2.0), TowerSpec(H, p / 2.0)]
-            runs += [_slab_runs(H, H - n + 1), ((0, H, 1.0),)]
+            towers += [(TowerSpec(H, p / 2.0), H - n + 1, 1.0), (TowerSpec(H, p / 2.0), 0, 1.0)]
     # the remainder tower carries weight 0 in the density variant, 1 otherwise
-    specs.append(TowerSpec(sched.remainder_height, sched.remainder_mass))
-    runs.append(((0, sched.remainder_height, float(sched.variant != "thm2")),))
-    model = ProcessModel(sched.variant, build_tower_system(specs), noise, tuple(runs), sched)
+    rem = TowerSpec(sched.remainder_height, sched.remainder_mass)
+    if sched.variant == "thm2":
+        towers.append((rem, rem.height, 0.0))
+        noise = TwoIntervalUniformNoise()
+    else:
+        towers.append((rem, 0, 1.0))
+        noise = LatticeNoise(1.0)
+    specs, slab, value = zip(*towers)
+    model = ProcessModel(sched.variant, build_tower_system(specs), noise, slab, value, sched)
     mu_a = model.mu_inactive
     if not (0.0 < mu_a < 1.0):
         raise DegenerateModel(f"mu(A) = {mu_a} is degenerate")

@@ -123,10 +123,11 @@ def symmetric_step_sum(a: float, m: int) -> LatticeDistribution:
     return LatticeDistribution(offset=-m, probs=probs)
 
 
-def _active(model) -> list[list[tuple[int, int]]]:
+def _active(model) -> tuple:
+    """The slabs of a lattice model, below which its towers are inactive."""
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice_sum_distribution needs a lattice model")
-    return [[(s, e) for s, e, v in tower if v > 0.5] for tower in model.runs]
+    return model.slab
 
 
 def _mixtures(a: float, occs) -> list[LatticeDistribution]:

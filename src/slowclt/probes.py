@@ -181,7 +181,7 @@ def density_bound_probe(model: ProcessModel) -> ProbeResult:
 
 
 def variance_probe(model: ProcessModel) -> ProbeResult:
-    """Closed-form variance against model.sigma2, the sum over weight runs,
+    """Closed-form variance against model.sigma2, the sum over the towers,
     tolerance 1e-12."""
     sched = model.schedule
     if model.variant == "thm2":
@@ -208,7 +208,7 @@ def mds_conditional_mean_test(model: ProcessModel, window: int,
     factor is independent of the tower factor.  The value is its largest
     modulus over every positive-probability pair of consecutive states (a
     level step inside a tower, or a top-to-base landing) and every g_{j-1}
-    in the noise support; all must vanish.  One pass over the weight runs;
+    in the noise support; all must vanish.  One pass over the towers' slabs;
     _mds_exact is its brute-force oracle.  filter_coeff != 0 replaces f_j by
     f_j + filter_coeff * f_{j-1}, a deliberately non-MDS control.
     """
@@ -224,15 +224,16 @@ def _mds_tower_level(model, j, filter_coeff) -> float:
     """max |w(x_j) E g + c w(x_{j-1}) g_{j-1}| over consecutive states and noise values."""
     support = _noise_support(model)
     mean_g = sum(v * p for v, p in support)
-    runs = model.runs
+    towers = list(zip(model.slab, model.value, model.system.heights.tolist()))
     if not filter_coeff or j == 0:
-        return max(abs(v) for tower in runs for _, _, v in tower) * abs(mean_g)
-    # (previous, current) weights: a climb inside a run or from one run to
-    # the next, or a landing from any top on a base the row reaches
-    pairs = [(v, v) for tower in runs for s, e, v in tower if e - s > 1]
-    pairs += [(r0[2], r1[2]) for tower in runs for r0, r1 in zip(tower, tower[1:])]
-    bases = [tower[0][2] for tower, p in zip(runs, model.system.landing) if p > 0.0]
-    pairs += [(tower[-1][2], b) for tower in runs for b in bases]
+        return max(abs(v) if s < h else 0.0 for s, v, h in towers) * abs(mean_g)
+    # (previous, current) weights: a climb inside the slab, out of it or above
+    # it, or a landing from any top on a base the row reaches
+    pairs = []
+    for s, v, h in towers:
+        pairs += [(0.0, 0.0)] * (s > 1) + [(0.0, v)] * (0 < s < h) + [(v, v)] * (h - s > 1)
+    bases = [0.0 if s else v for (s, v, _), p in zip(towers, model.system.landing) if p > 0.0]
+    pairs += [(v if s < h else 0.0, b) for s, v, h in towers for b in bases]
     prev, cur = np.array(pairs).T
     return max(float(np.abs(cur * mean_g + filter_coeff * g * prev).max()) for g, _ in support)
 
@@ -296,8 +297,10 @@ def conditional_variance_floor(model: ProcessModel) -> ProbeResult:
     if model.noise.kind != "lattice":
         raise VariantMismatch("variance-floor probe is for lattice models")
     # the next state is a level >= 1 of the same tower, or a landed base
-    climbed = [v * v for tower in model.runs for _, e, v in tower if e > 1]
-    bases = [tower[0][2] for tower in model.runs]
+    climbed = []
+    for s, v, h in zip(model.slab, model.value, model.system.heights.tolist()):
+        climbed += [0.0] * (s > 1) + [v * v] * (1 < h and s < h)
+    bases = [0.0 if s else v for s, v in zip(model.slab, model.value)]
     landed = float(np.dot(model.system.landing, np.square(bases)))
     value = model.noise.variance * min(climbed + [landed])
     return ProbeResult(

@@ -5,7 +5,9 @@ levels deterministically, and from any top level it jumps to the base of a
 destination tower drawn from one landing row, which does not depend on the
 tower left.  The row sends the trajectory to tower ``l`` with probability
 proportional to the base-level measure ``mass_l / height_l``, which makes
-the level-uniform measure stationary.
+the level-uniform measure stationary.  The occupancy laws count a
+stationary trajectory's visits to the active levels, those above each
+tower's bottom slab.
 """
 
 from __future__ import annotations
@@ -135,82 +137,46 @@ def sample_trajectory_batch(
     return towers, levels
 
 
-def _knots(sys: TowerSystem, active) -> tuple[np.ndarray, np.ndarray]:
-    """Knots (xp, fp) of pref(x), the number of active states below flat state
-    index x, from each tower's active intervals [start, end): pref has slope
-    1 on each interval and slope 0 between them, so np.interp reads it
-    exactly, every value being an integer below 2^53."""
-    if len(active) != len(sys.towers):
-        raise ValueError("active needs one list of intervals per tower")
-    tower = np.array([l for l, iv in enumerate(active) for _ in iv], dtype=np.int64)
-    s, e = (np.array([se for iv in active for se in iv], dtype=np.int64).reshape(-1, 2)
-            + sys.offsets[tower, None]).T
-    if (np.any(s >= e) or np.any(s[1:] < e[:-1]) or np.any(s < sys.offsets[tower])
-            or np.any(e > sys.offsets[tower + 1])):
-        raise ValueError("active intervals must be non-empty, sorted, disjoint "
-                         "and inside their tower")
-    cum = np.cumsum(e - s)
-    return (np.concatenate([[0], np.column_stack([s, e]).ravel()]),
-            np.concatenate([[0], np.column_stack([cum - (e - s), cum]).ravel()]))
-
-
-def _prefix(knots: tuple[np.ndarray, np.ndarray], x) -> np.ndarray:
-    return np.interp(x, *knots).astype(np.int64)
-
-
-def _window_counts(sys: TowerSystem, knots, n: int) -> np.ndarray:
+def _window_counts(sys: TowerSystem, slab: np.ndarray, n: int) -> np.ndarray:
     """hist[d, c] = #{0 <= j <= h_d - n : c active levels among j .. j + n - 1
-    of tower d}, 0 for towers lower than n.  Over one tower's starts the count
-    pref(j + n) - pref(j) is linear in j, of slope -1, 0 or 1, between breaks
-    among the knots and the knots minus n, so each segment adds its length
-    to one bin or one to each bin of a range."""
-    base = sys.offsets[:-1]
-    last = base + sys.heights - n + 1  # tower d's starts are base[d] .. last[d] - 1
-    cuts = np.concatenate([base, last, knots[0], knots[0] - n])
-    cuts = np.unique(cuts[(cuts >= 0) & (cuts <= sys.n_states)])
-    d = np.searchsorted(base, cuts[:-1], side="right") - 1
-    keep = cuts[:-1] < last[d]
-    lo, hi, d = cuts[:-1][keep], cuts[1:][keep] - 1, d[keep]
-    p = _prefix(knots, np.concatenate([lo, hi, lo + n, hi + n])).reshape(4, -1)
-    c_lo, c_hi = p[2] - p[0], p[3] - p[1]
-    flat = c_lo == c_hi
-    hist = np.zeros((len(base), n + 2), dtype=np.int64)
-    np.add.at(hist, (d[~flat], np.minimum(c_lo, c_hi)[~flat]), 1)
-    np.add.at(hist, (d[~flat], np.maximum(c_lo, c_hi)[~flat] + 1), -1)
-    hist = np.cumsum(hist, axis=1)
-    np.add.at(hist, (d[flat], c_lo[flat]), (hi - lo + 1)[flat])
-    return hist[:, : n + 1]
+    of tower d}, 0 for towers lower than n.  That count is
+    min(n, max(0, j + n - s_d)), so for c < n the starts counting at most c
+    are the j <= s_d - n + c."""
+    starts = np.maximum(sys.heights - n + 1, 0)
+    upto = np.clip(slab[:, None] - n + 1 + np.arange(n + 1), 0, starts[:, None])
+    upto[:, n] = starts
+    return np.diff(upto, axis=1, prepend=0)
 
 
 BLOCK_ROWS = 64  # the most landing rows made at once: see occupancy_distributions
 
 
-def _tail_segments(sys: TowerSystem, knots, n: int):
-    """Window n's starts that leave a top, as (tower, first row, end row,
-    tail at the first row, active) arrays: start j of tower d reads landing
-    row n - h_d + j in [1, n), shifted by its tail, the active levels from j
-    to the top, constant on an inactive stretch and falling by one per row
-    on an active one."""
-    base, top = sys.offsets[:-1], sys.offsets[1:]
-    first = base + np.maximum(sys.heights - n + 1, 0)  # the start of row 1, or the base
-    cuts = np.unique(np.concatenate([first, top, knots[0]]))
-    d = np.searchsorted(base, cuts[:-1], side="right") - 1
-    keep = cuts[:-1] >= first[d]
-    x0, x1, d = cuts[:-1][keep], cuts[1:][keep], d[keep]
-    p0, p1 = _prefix(knots, np.concatenate([x0, x1])).reshape(2, -1)
-    row = n - top[d]
-    return d, x0 + row, x1 + row, _prefix(knots, top)[d] - p0, p1 - p0 == x1 - x0
+def _tail_segments(sys: TowerSystem, slab: np.ndarray, n: int) -> list[tuple]:
+    """Window n's starts that leave a top, as (tower, first row, end row, tail
+    at the first row, active) tuples: start j of tower d reads landing row
+    n - h_d + j in [1, n), shifted by its tail, the active levels from j to
+    the top.  The tail is constant on the starts in the slab and falls by one
+    per row on the active run above it."""
+    segs = []
+    for d, (h, s) in enumerate(zip(sys.heights.tolist(), slab.tolist())):
+        first = max(h - n + 1, 0)  # the start of row 1, or the base
+        a = max(s, first)
+        if first < a:
+            segs.append((d, n - h + first, n - h + a, h - a, False))
+        if a < h:
+            segs.append((d, n - h + a, n, h - a, True))
+    return segs
 
 
-def occupancy_distributions(sys: TowerSystem, active, windows) -> list[OccupancyDistribution]:
+def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[OccupancyDistribution]:
     """Exact law of m = #{0 <= i < n : state_i active}, stationary start, at
     each window n, from one pass over the landing rows.
 
-    active[l] lists tower l's active levels as R sorted intervals (start,
-    end).  A window is cut at the first top it leaves: the part before is
-    read off the start tower's prefix counts; the r steps after, from a base
-    drawn by the one landing row, have the count law land[r] whatever the
-    start.  Windows that leave no top are counted per segment of their start.
+    Tower l's active levels are those above its lowest slab[l].  A window is
+    cut at the first top it leaves: the part before is counted from the start
+    level and the slab; the r steps after, from a base drawn by the one
+    landing row, have the count law land[r] whatever the start.  Windows that
+    leave no top are counted in closed form per tower.
 
     land[r] sums, in tower order, a point for each tower of height >= r and
     land[r - h_d] shifted by tower d's active count for each shorter one.
@@ -219,21 +185,22 @@ def occupancy_distributions(sys: TowerSystem, active, windows) -> list[Occupancy
     window's law as soon as it is made: a summed row segment where a start's
     shift is constant, a skewed (diagonal) sum along an active run.  A ring
     of max{h_d < N - 1} + B rows, rounded up to a multiple of B, of
-    N + 1 + B floats holds them, N the largest window; O(R log R + K N^2)
-    time.  No row depends on the windows, so no window's law depends on the
-    others.
+    N + 1 + B floats holds them, N the largest window; O(K N^2) time.  No
+    row depends on the windows, so no window's law depends on the others.
     """
     windows = [int(n) for n in windows]
     if not windows or min(windows) < 1:
         raise ValueError("need at least one window, each >= 1")
-    knots = _knots(sys, active)
+    slab = np.asarray(slab)
+    if (slab.shape != sys.heights.shape or not np.all((slab >= 0) & (slab <= sys.heights))
+            or np.any(slab % 1 != 0)):
+        raise ValueError("slab needs one integer level count in [0, height] per tower")
+    slab = slab.astype(np.int64)
     N = max(windows)
     heights, landing, w = sys.heights.tolist(), sys.landing.tolist(), sys.level_masses
-    below = _prefix(knots, sys.offsets)
-    full = np.diff(below).tolist()  # active levels of each tower
+    full = (sys.heights - slab).tolist()  # active levels of each tower
     # head[d, r] = active levels among the first r of tower d, r <= min(h_d, N - 1)
-    head = _prefix(knots, sys.offsets[:-1, None]
-                   + np.minimum(np.arange(N), sys.heights[:, None])) - below[:-1, None]
+    head = np.maximum(np.minimum(np.arange(N), sys.heights[:, None]) - slab[:, None], 0)
     B = min(min(heights), BLOCK_ROWS)
     R = -(-max([h for h in heights if h < N - 1], default=0) // B) * B + B
     W = N + 1 + B
@@ -243,8 +210,8 @@ def occupancy_distributions(sys: TowerSystem, active, windows) -> list[Occupancy
     ring, tmp = flat[B : B + R * W].reshape(R, W), np.empty((B, N))
     jobs = []  # each window's law so far, and the row segments of its starts
     for n in windows:
-        occ = (w[:, None] * _window_counts(sys, knots, n)).sum(axis=0)
-        jobs.append((occ, list(zip(*(a.tolist() for a in _tail_segments(sys, knots, n))))))
+        occ = (w[:, None] * _window_counts(sys, slab, n)).sum(axis=0)
+        jobs.append((occ, _tail_segments(sys, slab, n)))
     for r0 in range(0, N, B):
         r1 = min(r0 + B, N)
         rows = ring[r0 % R : r0 % R + r1 - r0]
@@ -290,13 +257,12 @@ def occupancy_distributions(sys: TowerSystem, active, windows) -> list[Occupancy
             for n, (occ, _) in zip(windows, jobs)]
 
 
-def occupancy_distribution(sys: TowerSystem, active, n: int) -> OccupancyDistribution:
+def occupancy_distribution(sys: TowerSystem, slab, n: int) -> OccupancyDistribution:
     """Exact law of m = #{0 <= i < n : state_i active}, stationary start:
     occupancy_distributions at the one window n.  The landing rows stream in
     row order, in blocks of B = min(min H, BLOCK_ROWS), through a ring of
-    about max{h_d < n - 1} + B rows of n + 1 + B floats; O(R log R + K n^2)
-    time."""
-    return occupancy_distributions(sys, active, [n])[0]
+    about max{h_d < n - 1} + B rows of n + 1 + B floats; O(K n^2) time."""
+    return occupancy_distributions(sys, slab, [n])[0]
 
 
 def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -322,12 +288,11 @@ def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...],
         yield from extend((s,), pi[s])
 
 
-def occupancy_by_path_enumeration(sys: TowerSystem, active, n: int) -> np.ndarray:
-    """Brute-force oracle: the occupancy law summed over enumerate_paths."""
-    act = np.zeros(sys.n_states, dtype=bool)
-    for a0, iv in zip(sys.offsets, active):
-        for lo, hi in iv:
-            act[a0 + lo : a0 + hi] = True
+def occupancy_by_path_enumeration(sys: TowerSystem, slab, n: int) -> np.ndarray:
+    """Brute-force oracle: the occupancy law summed over enumerate_paths, a
+    state active when its level is at least its tower's slab."""
+    levels = np.arange(sys.n_states) - np.repeat(sys.offsets[:-1], sys.heights)
+    act = levels >= np.repeat(slab, sys.heights)
     occ = np.zeros(n + 1)
     for path, prob in enumerate_paths(sys, n):
         occ[int(act[list(path)].sum())] += prob

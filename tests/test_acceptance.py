@@ -39,8 +39,6 @@ from slowclt.construction import (
 from slowclt.distributions import lattice_sum_by_path_enumeration, root_n_interval_probability
 from slowclt.reporting import ExperimentConfig
 
-from helpers import runs_of
-
 THM1_RATE = RateSequence.power_law(0.5, 0.5)
 THM3_RATE = RateSequence.power_law(0.25, 0.5)
 THM2_RATE = RateSequence.power_law(0.05, 1.0)
@@ -49,7 +47,7 @@ THM2_RATE = RateSequence.power_law(0.05, 1.0)
 @pytest.fixture(scope="module")
 def thm1():
     sched = derive_schedule("thm1", THM1_RATE, 3)
-    model = build_counterexample(sched, LatticeNoise(1.0))
+    model = build_counterexample(sched)
     return sched, model
 
 
@@ -174,9 +172,7 @@ def test_criterion_07_strong_mds(thm1, thm3):
     """Exact conditional means 0 on a small instance and on the desk
     instances; the linear-filter control fails exactly."""
     sys_ = build_tower_system([TowerSpec(7, 0.6), TowerSpec(8, 0.4)])
-    weight = np.ones(sys_.n_states)
-    weight[0:4] = 0.0
-    small = ProcessModel("thm1", sys_, LatticeNoise(0.5), runs_of(sys_, weight))
+    small = ProcessModel("thm1", sys_, LatticeNoise(0.5), (4, 0), (1.0, 1.0))
     assert sys_.n_states <= 100
     for window in (2, 3, 4):
         res = mds_conditional_mean_test(small, window)
@@ -194,17 +190,17 @@ def test_criterion_07_strong_mds(thm1, thm3):
 
 def test_criterion_08_oracle_equivalence():
     """lattice_sum_distribution == path enumeration; step sums == outcomes."""
+    # each tower's slab: tower 0 of the second system weighs 0 throughout,
+    # and its tower 1 has no slab
     systems = [
-        ([TowerSpec(2, 0.4), TowerSpec(3, 0.6)],
-         np.array([0.0, 1.0, 1.0, 0.0, 1.0])),
-        ([TowerSpec(3, 0.3), TowerSpec(4, 0.5), TowerSpec(5, 0.2)],
-         np.array([1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1], dtype=float)),
+        ([TowerSpec(2, 0.4), TowerSpec(3, 0.6)], (1, 2)),
+        ([TowerSpec(3, 0.3), TowerSpec(4, 0.5), TowerSpec(5, 0.2)], (3, 0, 2)),
     ]
-    for specs, weight in systems:
+    for specs, slab in systems:
         sys_ = build_tower_system(specs)
         assert sys_.n_states <= 200
         for a in (0.5, 1.0):
-            model = ProcessModel("thm1", sys_, LatticeNoise(a), runs_of(sys_, weight))
+            model = ProcessModel("thm1", sys_, LatticeNoise(a), slab, (1.0,) * len(slab))
             for n in (1, 4, 8):
                 exact = lattice_sum_distribution(model, n)
                 ref = lattice_sum_by_path_enumeration(model, n)

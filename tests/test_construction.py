@@ -1,5 +1,6 @@
 """Schedule derivation and model construction for the three variants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from slowclt import (
     intersection_lower_bound,
 )
 from slowclt.construction import (
-    DEFAULT_SEARCH_CAP,
+    SEARCH_CAP,
     LatticeNoise,
     ProcessModel,
     TwoIntervalUniformNoise,
@@ -82,15 +83,16 @@ class TestScheduleThm1:
     def test_infeasible_rate(self):
         slow = RateSequence.power_law(0.4, 1e-6)
         with pytest.raises(ScheduleInfeasible):
-            derive_schedule_thm1(slow, 2, search_cap=10**4)
+            derive_schedule_thm1(slow, 2)
 
-    def test_search_cap_bounds_every_n(self):
+    def test_search_cap_bounds_every_n(self, monkeypatch):
         # a_1 = 0.01 meets the first two thresholds at n = 1, 2; n_2 >= 3
         # would pass the cap
+        monkeypatch.setattr("slowclt.construction.SEARCH_CAP", 2)
         a = RateSequence.power_law(0.01, 1.0)
-        assert derive_schedule_thm1(a, 2, search_cap=2).n == (1, 2)
-        with pytest.raises(ScheduleInfeasible, match="search_cap 2"):
-            derive_schedule_thm1(a, 3, search_cap=2)
+        assert derive_schedule_thm1(a, 2).n == (1, 2)
+        with pytest.raises(ScheduleInfeasible, match="no n <= 2"):
+            derive_schedule_thm1(a, 3)
 
 
 class TestScheduleThm3:
@@ -172,8 +174,8 @@ class TestScheduleThm2:
         ("thm2", {"L": float("nan")}),
         ("thm2", {"L1": 0.0}),
         ("thm3", {"eps0": -1}),
-        ("thm3", {"search_cap": 1e7}),
-        ("thm3", {"search_cap": True}),
+        ("thm3", {"search_cap": 10**7}),  # the cap is not a constant
+        ("thm3", {"eps0": True}),
     ])
     def test_dispatcher_rejects_bad_constants(self, variant, constants):
         with pytest.raises(BadConstants):
@@ -198,7 +200,7 @@ class TestScheduleProperties:
         except ScheduleInfeasible:
             # e.g. c=0.5, beta=0.25, K=5: a_n stays above the last threshold
             # 2^-(K+2) up to the search cap, so the raise is the right answer
-            assert a(DEFAULT_SEARCH_CAP) > 2.0 ** (-(K + 2)) * (1.0 + 1e-12)
+            assert a(SEARCH_CAP) > 2.0 ** (-(K + 2)) * (1.0 + 1e-12)
             return
         assert all(x < y for x, y in zip(s.n, s.n[1:]))
         assert sum(s.d) < 1.0 and sum(s.p) < 1.0
@@ -225,57 +227,62 @@ class TestBuildCounterexample:
         s = derive_schedule_thm1(DESK_THM1, 2)
         m = build_counterexample(s)
         # lowest H-n+1 levels of each scheduled tower carry weight 0
-        for k, (H, n) in enumerate(zip(s.H, s.n)):
-            assert m.runs[k] == ((0, H - n + 1, 0.0), (H - n + 1, H, 1.0))
-        assert m.runs[2] == ((0, s.remainder_height, 1.0),)
+        assert m.slab == tuple(H - n + 1 for H, n in zip(s.H, s.n)) + (0,)
+        assert m.value == (1.0,) * 3
         assert m.mu_inactive == pytest.approx(sum(s.d), rel=1e-12)
 
     def test_thm1_wholly_inactive_tower(self):
-        # n_0 = 1 puts all H_0 = 2 levels of tower 0 in the slab: one run, no empty one
+        # n_0 = 1 puts all H_0 = 2 levels of tower 0 in the slab
         s = derive_schedule_thm1(RateSequence.power_law(0.1, 1.0), 3)
         assert s.n[0] == 1 and s.H[0] == 2
         m = build_counterexample(s)
-        assert m.runs[0] == ((0, 2, 0.0),)
-        assert all(len(tower) == 2 for tower in m.runs[1:3])
+        assert m.slab[0] == 2 and all(0 < m.slab[k] < s.H[k] for k in (1, 2))
+        assert m.weight_at(np.arange(3)).tolist() == [0.0, 0.0, 0.0]
         assert m.mu_inactive == pytest.approx(sum(s.d), rel=1e-12)
 
     def test_thm3_slab_in_marked_half_only(self):
         s = derive_schedule_thm3(DESK_THM3, 2)
         m = build_counterexample(s)
         for k, (H, n) in enumerate(zip(s.H, s.n)):
-            assert m.runs[2 * k] == ((0, H - n + 1, 0.0), (H - n + 1, H, 1.0))
-            assert m.runs[2 * k + 1] == ((0, H, 1.0),)
-
-    def test_noise_variant_mismatch(self):
-        s = derive_schedule_thm1(DESK_THM1, 2)
-        with pytest.raises(VariantMismatch):
-            build_counterexample(s, TwoIntervalUniformNoise())
-        s2 = derive_schedule("thm2", DESK_THM2, 4)
-        with pytest.raises(VariantMismatch):
-            build_counterexample(s2, LatticeNoise(1.0))
+            assert m.slab[2 * k : 2 * k + 2] == (H - n + 1, 0)
+        assert m.value == (1.0,) * 5
+        assert m.noise.kind == "lattice" and m.noise.a == 1.0
 
     def test_thm2_weights(self):
         s = derive_schedule("thm2", DESK_THM2, 6)
         m = build_counterexample(s)
-        for k, (H, d) in enumerate(zip(s.H, s.d)):
-            assert m.runs[k] == ((0, H, d),)
-        # remainder tower carries weight 0
-        assert m.runs[6] == ((0, s.remainder_height, 0.0),)
+        # weight d_k on all of tower k, and 0 on all of the remainder tower
+        assert m.slab == (0,) * 6 + (s.remainder_height,)
+        assert m.value == s.d + (0.0,)
+        assert isinstance(m.noise, TwoIntervalUniformNoise)
 
-    @pytest.mark.parametrize("runs", [
-        (((0, 2, 0.0),), ((0, 3, 1.0),)),  # tower 0 ends at 2 of 3 levels
-        (((0, 2, 0.0),),),  # no runs for tower 1
-        (((0, 1, 0.0), (2, 3, 1.0)), ((0, 3, 1.0),)),  # a gap
-        (((0, 0, 0.0), (0, 3, 1.0)), ((0, 3, 1.0),)),  # an empty run
+    @pytest.mark.parametrize("slab, value", [
+        ((4, 0), (1.0, 1.0)),  # a slab past the top of a 3-level tower
+        ((-1, 0), (1.0, 1.0)),  # a slab below the base
+        ((0,), (1.0, 1.0)),  # one slab for two towers
+        ((0, 0), (1.0,)),  # one value for two towers
+        ((1.5, 0), (1.0, 1.0)),  # a slab between levels
     ])
-    def test_runs_must_cover_each_tower(self, runs):
+    def test_slab_must_fit_each_tower(self, slab, value):
         sys_ = build_tower_system([TowerSpec(3, 0.5), TowerSpec(3, 0.5)])
         with pytest.raises(ValueError):
-            ProcessModel("thm1", sys_, LatticeNoise(1.0), runs)
+            ProcessModel("thm1", sys_, LatticeNoise(1.0), slab, value)
+
+    def test_lattice_weight_is_0_or_1(self):
+        # the lattice engines count visits to the levels above the slabs, so
+        # weight 2 on tower 0 would silently be read as weight 1
+        sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
+        with pytest.raises(ValueError, match="weighs 0 or 1"):
+            ProcessModel("thm1", sys_, LatticeNoise(1.0), (1, 0), (2.0, 1.0))
+        # a tower wholly in its slab weighs 0 whatever its value
+        m = ProcessModel("thm1", sys_, LatticeNoise(1.0), (2, 0), (2.0, 1.0))
+        assert m.weight_at(np.arange(5)).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+        assert m.mu_inactive == pytest.approx(0.4)
+        ProcessModel("thm2", sys_, TwoIntervalUniformNoise(), (1, 0), (2.0, 1.0))
 
     def test_sigma2_thm1(self):
         s = derive_schedule_thm1(DESK_THM1, 3)
-        m = build_counterexample(s, LatticeNoise(0.7))
+        m = dataclasses.replace(build_counterexample(s), noise=LatticeNoise(0.7))
         assert m.sigma2 == pytest.approx(0.7 * (1 - sum(s.d)), abs=1e-12)
 
     def test_sigma2_thm2_matches_truncated_sum(self):

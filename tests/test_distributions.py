@@ -6,6 +6,7 @@ two-interval-uniform variables via an independent Binomial + Irwin-Hall
 decomposition (interval probabilities); they are pinned here as constants.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -39,8 +40,6 @@ from slowclt.distributions import (
     sample_partial_sums,
     two_interval_sum_probability,
 )
-
-from helpers import runs_of
 
 # Phi(x) frozen from a 25-digit computation
 NORMAL_CDF_REFS = {
@@ -107,8 +106,7 @@ class TestSymmetricStepSum:
 
 def tiny_lattice_model(a=0.5):
     sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-    weight = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-    return ProcessModel("thm1", sys_, LatticeNoise(a), runs_of(sys_, weight))
+    return ProcessModel("thm1", sys_, LatticeNoise(a), (1, 2), (1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +148,7 @@ class TestLatticeSumDistribution:
     @pytest.mark.parametrize("a", [1.0, 0.5])
     def test_windows_share_a_pass_bit_for_bit(self, thm1_k5_desk, a):
         # a = 1 runs the noise chain on the sublattice, a = 0.5 on every point
-        model = ProcessModel("thm1", thm1_k5_desk.system, LatticeNoise(a), thm1_k5_desk.runs)
+        model = dataclasses.replace(thm1_k5_desk, noise=LatticeNoise(a))
         windows = [64, 4, 8, 16, 32, 1]
         for n, law in zip(windows, lattice_sum_distributions(model, windows)):
             one = lattice_sum_distribution(model, n)
@@ -162,8 +160,7 @@ class TestLatticeSumDistribution:
         from slowclt.towers import occupancy_distribution
 
         n = 64
-        active = [[(s, e) for s, e, v in t if v > 0.5] for t in thm1_k5_desk.runs]
-        occ = occupancy_distribution(thm1_k5_desk.system, active, n).probs
+        occ = occupancy_distribution(thm1_k5_desk.system, thm1_k5_desk.slab, n).probs
         law, want = np.array([1.0]), np.zeros(2 * n + 1)
         for m, w in enumerate(occ):
             if w != 0.0:

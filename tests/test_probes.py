@@ -38,17 +38,13 @@ from slowclt.construction import (
 from slowclt import probes
 from slowclt.probes import ProbeResult, _mds_exact, _mixing_lags, variance_probe
 
-from helpers import runs_of
-
 DESK_THM3 = RateSequence.power_law(0.25, 0.5)
 
 
 def small_model(a=0.5):
     """15-state two-tower model with one inactive slab; enumerable."""
     sys_ = build_tower_system([TowerSpec(7, 0.6), TowerSpec(8, 0.4)])
-    weight = np.ones(sys_.n_states)
-    weight[0:4] = 0.0
-    return ProcessModel("thm1", sys_, LatticeNoise(a), runs_of(sys_, weight))
+    return ProcessModel("thm1", sys_, LatticeNoise(a), (4, 0), (1.0, 1.0))
 
 
 class TestProbeResult:
@@ -175,17 +171,19 @@ class TestMdsConditionalMean:
                                  max_size=len(heights)))
         sys_ = build_tower_system(
             [TowerSpec(h, r / sum(raw)) for h, r in zip(heights, raw)])
-        weight = np.array(data.draw(st.lists(
-            st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
-            min_size=sys_.n_states, max_size=sys_.n_states)))
+        slab = tuple(data.draw(st.integers(0, h)) for h in heights)
         kind = data.draw(st.sampled_from(["lattice", "two-interval", "biased"]))
-        noise = TwoIntervalUniformNoise() if kind == "two-interval" else LatticeNoise(
-            data.draw(st.floats(0.1, 1.0)))
         support = probes._noise_support
+        if kind == "lattice":  # a lattice model weighs 0 or 1
+            m = ProcessModel("thm1", sys_, LatticeNoise(data.draw(st.floats(0.1, 1.0))),
+                             slab, (1.0,) * len(heights))
+        else:
+            value = tuple(data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
+                                             min_size=len(heights), max_size=len(heights))))
+            m = ProcessModel("thm2", sys_, TwoIntervalUniformNoise(), slab, value)
         if kind == "biased":  # a +-1 law with mean 2q - 1, so w(x_j) E g counts
             q = data.draw(st.floats(0.05, 0.95))
             support = lambda model: [(-1.0, 1.0 - q), (1.0, q)]  # noqa: E731
-        m = ProcessModel("thm1", sys_, noise, runs_of(sys_, weight))
         with mock.patch.object(probes, "_noise_support", support):
             r = mds_conditional_mean_test(m, window, filter_coeff=filter_coeff)
             want = _mds_exact(m, window, window // 2, filter_coeff)
@@ -200,6 +198,15 @@ class TestMdsConditionalMean:
             r = mds_conditional_mean_test(m, 3, filter_coeff=filter_coeff)
             assert not r.passed
             assert abs(r.value - _mds_exact(m, 3, 1, filter_coeff)) <= 1e-12
+
+    def test_climb_out_of_the_slab_counts(self, monkeypatch):
+        # one 2-level tower, weight 0 then 2: the climb out of the slab gives
+        # |2 E g| = 1.6, above the landing's |0.5 * g * 2| = 1
+        sys_ = build_tower_system([TowerSpec(2, 1.0)])
+        m = ProcessModel("thm2", sys_, TwoIntervalUniformNoise(), (1,), (2.0,))
+        monkeypatch.setattr(probes, "_noise_support", lambda model: [(-1.0, 0.1), (1.0, 0.9)])
+        r = mds_conditional_mean_test(m, 2, filter_coeff=0.5)
+        assert r.value == pytest.approx(1.6) == _mds_exact(m, 2, 1, 0.5)
 
     def test_window_1_has_no_filter_term(self):
         m = small_model()
@@ -219,10 +226,17 @@ class TestConditionalVarianceFloor:
 
     def test_positive_floor_without_slab(self):
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), runs_of(sys_, np.ones(5)))
+        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), (0, 0), (1.0, 1.0))
         r = conditional_variance_floor(m)
         assert r.value == pytest.approx(0.5)
         assert not r.passed
+
+    def test_one_level_slab_is_left_in_one_step(self):
+        # tower 0's slab is its base alone, so every climb lands on weight 1;
+        # the floor is the landing row's mass on tower 1's active base, 1/2
+        sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
+        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), (1, 0), (1.0, 1.0))
+        assert conditional_variance_floor(m).value == pytest.approx(0.5 * 0.5)
 
 
 class TestMixing:

@@ -415,10 +415,14 @@ class TestCli:
         assert "constant" in capsys.readouterr().err
 
     def test_search_cap_below_schedule_exit_2(self, capsys):
-        assert main(["schedule", "--variant", "thm1", "--rate-c", "0.01", "--rate-beta", "1",
-                     "--K", "3", "--constants", '{"search_cap": 2}']) == 2
+        # a_n = 0.4 n^-1e-6 stays above the first threshold 1/8 past SEARCH_CAP
+        assert main(["schedule", "--variant", "thm1", "--rate-c", "0.4", "--rate-beta", "1e-6",
+                     "--K", "3"]) == 2
         captured = capsys.readouterr()
-        assert "search_cap 2" in captured.err and captured.out == ""
+        assert "no n <= 10000000" in captured.err and captured.out == ""
+        # the cap is no constant of the schedule
+        assert main(["schedule", "--variant", "thm1", "--constants", '{"search_cap": 2}']) == 2
+        assert "not 'search_cap'" in capsys.readouterr().err
 
     def test_wholly_inactive_tower_certifies(self, tmp_path, capsys):
         # n_0 = 1: the slab A_0 is all of tower 0

@@ -20,13 +20,17 @@ from slowclt import (
     occupancy_distributions,
     sample_trajectory_batch,
 )
-from slowclt.towers import _knots, _window_counts, occupancy_by_path_enumeration
-
-from helpers import intervals_of
+from slowclt.towers import _window_counts, enumerate_paths, occupancy_by_path_enumeration
 
 
 def small_system():
     return build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
+
+
+def active_states(sys_, slab):
+    """Flat mask of the states at or above their tower's slab."""
+    levels = np.arange(sys_.n_states) - np.repeat(sys_.offsets[:-1], sys_.heights)
+    return levels >= np.repeat(slab, sys_.heights)
 
 
 class TestTowerSpec:
@@ -92,40 +96,43 @@ class TestStationaryMeasure:
 class TestOccupancy:
     def test_matches_path_enumeration_tall(self):
         sys_ = small_system()
-        active = intervals_of(sys_, [True, False, True, True, False])
-        occ = occupancy_distribution(sys_, active, 2)
-        ref = occupancy_by_path_enumeration(sys_, active, 2)
-        assert np.allclose(occ.probs, ref, atol=1e-12)
+        for slab in ((1, 1), (1, 2), (2, 0)):
+            occ = occupancy_distribution(sys_, slab, 2)
+            ref = occupancy_by_path_enumeration(sys_, slab, 2)
+            assert np.allclose(occ.probs, ref, atol=1e-12)
 
     def test_matches_path_enumeration_short_towers(self):
         # window longer than every height: starts cross several tower tops
         sys_ = small_system()
-        active = intervals_of(sys_, [True, False, False, True, False])
         for n in (4, 5, 6):
-            occ = occupancy_distribution(sys_, active, n)
-            ref = occupancy_by_path_enumeration(sys_, active, n)
+            occ = occupancy_distribution(sys_, (2, 1), n)
+            ref = occupancy_by_path_enumeration(sys_, (2, 1), n)
             assert np.allclose(occ.probs, ref, atol=1e-12)
 
     def test_all_active_is_deterministic(self):
-        sys_ = small_system()
-        occ = occupancy_distribution(sys_, intervals_of(sys_, np.ones(5, dtype=bool)), 3)
+        occ = occupancy_distribution(small_system(), (0, 0), 3)
         assert occ.probs[-1] == pytest.approx(1.0)
 
     def test_base_levels_as_intervals(self):
+        # the bases [0, 1) are the complement of the slabs of height 1, so
+        # the law of visits to them is the law for those slabs reversed
         sys_ = small_system()
-        occ = occupancy_distribution(sys_, [[(0, 1)], [(0, 1)]], 2)
-        ref = occupancy_by_path_enumeration(
-            sys_, intervals_of(sys_, [True, False, True, False, False]), 2
-        )
-        assert np.allclose(occ.probs, ref, atol=1e-12)
+        occ = occupancy_distribution(sys_, (1, 1), 2)
+        base = np.isin(np.arange(sys_.n_states), sys_.offsets[:-1])
+        ref = np.zeros(3)
+        for path, prob in enumerate_paths(sys_, 2):
+            ref[int(base[list(path)].sum())] += prob
+        assert np.allclose(occ.probs[::-1], ref, atol=1e-12)
 
     @pytest.mark.parametrize("active", [
-        [[(0, 1)]],  # one list for two towers
-        [[(0, 0)], []],  # empty interval
-        [[(1, 2), (0, 1)], []],  # out of order
-        [[], [(2, 4)]],  # past the top of a 3-level tower
+        (1,),  # one slab for two towers
+        (1, 1, 1),  # three slabs for two towers
+        (-1, 0),  # an active interval [-1, 2) below the base
+        (0, 4),  # past the top of a 3-level tower
+        (0.5, 0),  # between two levels
     ])
     def test_bad_intervals_rejected(self, active):
+        # each tower's active interval [slab, height) must lie in the tower
         with pytest.raises(ValueError):
             occupancy_distribution(small_system(), active, 2)
 
@@ -134,10 +141,9 @@ class TestOccupancy:
         sys_ = build_tower_system(
             [TowerSpec(5, 0.3), TowerSpec(7, 0.5), TowerSpec(3, 0.2)]
         )
-        active = np.zeros(sys_.n_states, dtype=bool)
-        active[0] = active[6] = active[13] = True
-        mu_active = float(sys_.stationary_array()[active].sum())
-        occ = occupancy_distribution(sys_, intervals_of(sys_, active), 3)
+        slab = (4, 1, 2)
+        mu_active = float(sys_.stationary_array()[active_states(sys_, slab)].sum())
+        occ = occupancy_distribution(sys_, slab, 3)
         mean = float(np.dot(np.arange(4), occ.probs))
         assert mean == pytest.approx(3 * mu_active, abs=1e-12)
 
@@ -149,9 +155,10 @@ class TestOccupancy:
         sys_ = build_tower_system(
             [TowerSpec(3, 0.2), TowerSpec(7, 0.3), TowerSpec(100_000, 0.5)]
         )
-        active = np.random.default_rng(5).random(sys_.n_states) < 0.4
+        slab = (1, 4, 60_000)
+        active = active_states(sys_, slab)
         n = 200
-        occ = occupancy_distribution(sys_, intervals_of(sys_, active), n)
+        occ = occupancy_distribution(sys_, slab, n)
         joint = sys_.stationary_array() * active
         mu_active = float(joint.sum())
         second = n * mu_active
@@ -203,66 +210,71 @@ def thm1_desk_occupancy_args():
     # 640 rows wraps, in blocks of 64
     sched = derive_schedule("thm1", RateSequence.power_law(0.5, 0.5), 4)
     model = build_counterexample(sched)
-    return model.system, [[(s, e) for s, e, v in t if v > 0.5] for t in model.runs], sched.n
+    return model.system, model.slab, sched.n
+
+
+def slabs(data, sys_):
+    """A slab per tower drawn from [0, height], both ends included."""
+    return tuple(data.draw(st.integers(0, h)) for h in sys_.heights.tolist())
 
 
 class TestOccupancyProperties:
     @settings(max_examples=40, deadline=None)
-    @given(short_tower_families(), st.randoms())
-    def test_streamed_rows_equal_enumeration(self, family, rnd):
+    @given(short_tower_families(), st.data())
+    def test_streamed_rows_equal_enumeration(self, family, data):
         specs, n = family
         sys_ = build_tower_system(specs)
-        active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
-        occ = occupancy_distribution(sys_, active, n)
-        ref = occupancy_by_path_enumeration(sys_, active, n)
+        slab = slabs(data, sys_)
+        occ = occupancy_distribution(sys_, slab, n)
+        ref = occupancy_by_path_enumeration(sys_, slab, n)
         assert np.allclose(occ.probs, ref, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(tower_families(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
-           st.randoms())
-    def test_windows_share_a_pass_bit_for_bit(self, specs, windows, rnd):
+           st.data())
+    def test_windows_share_a_pass_bit_for_bit(self, specs, windows, data):
         sys_ = build_tower_system(specs)
-        active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
-        laws = occupancy_distributions(sys_, active, windows)
+        slab = slabs(data, sys_)
+        laws = occupancy_distributions(sys_, slab, windows)
         assert [law.window for law in laws] == windows
         for n, law in zip(windows, laws):
-            assert np.array_equal(law.probs, occupancy_distribution(sys_, active, n).probs)
+            assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
 
     def test_desk_windows_share_a_pass_bit_for_bit(self):
-        sys_, active, windows = thm1_desk_occupancy_args()
-        laws = occupancy_distributions(sys_, active, windows)
+        sys_, slab, windows = thm1_desk_occupancy_args()
+        laws = occupancy_distributions(sys_, slab, windows)
         for n, law in zip(windows, laws):
-            assert np.array_equal(law.probs, occupancy_distribution(sys_, active, n).probs)
+            assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
 
     def test_windows_must_be_positive(self):
         with pytest.raises(ValueError):
-            occupancy_distributions(small_system(), [[(0, 1)], []], [])
+            occupancy_distributions(small_system(), (1, 3), [])
         with pytest.raises(ValueError):
-            occupancy_distributions(small_system(), [[(0, 1)], []], [3, 0])
+            occupancy_distributions(small_system(), (1, 3), [3, 0])
 
     @settings(max_examples=40, deadline=None)
-    @given(tower_families(), st.integers(min_value=1, max_value=5), st.randoms())
-    def test_occupancy_equals_enumeration(self, specs, n, rnd):
+    @given(tower_families(), st.integers(min_value=1, max_value=5), st.data())
+    def test_occupancy_equals_enumeration(self, specs, n, data):
         sys_ = build_tower_system(specs)
-        active = intervals_of(sys_, [rnd.random() < 0.5 for _ in range(sys_.n_states)])
-        occ = occupancy_distribution(sys_, active, n)
-        ref = occupancy_by_path_enumeration(sys_, active, n)
+        slab = slabs(data, sys_)
+        occ = occupancy_distribution(sys_, slab, n)
+        ref = occupancy_by_path_enumeration(sys_, slab, n)
         assert np.allclose(occ.probs, ref, atol=1e-10)
         assert occ.probs.sum() == pytest.approx(1.0)
         assert np.all(occ.probs >= 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=3), st.integers(0, 10**4),
-           st.floats(0.0, 1.0), st.floats(1.0, 2000.0), st.integers(0, 2**32 - 1))
-    @example([3], 0, 1.0, 1.0, 0)  # the last start range ends at the last state
-    def test_window_counts_equal_bincount(self, heights, n, density, mean_run, seed):
-        # towers of active and inactive runs of geometric lengths
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    @example([3], 0, [0.0] * 3)  # the last start range ends at the last state
+    def test_window_counts_equal_bincount(self, heights, n, fractions):
+        # the closed form against each start's count, on towers up to 10^4
+        # high, each slab the fraction of its tower's height, ends included
         n = 1 + n % max(heights)
         sys_ = build_tower_system([TowerSpec(h, 1.0 / len(heights)) for h in heights])
-        rng = np.random.default_rng(seed)
-        lengths = rng.geometric(1.0 / mean_run, size=sys_.n_states)
-        flat = np.repeat(rng.random(sys_.n_states) < density, lengths)[: sys_.n_states]
-        hist = _window_counts(sys_, _knots(sys_, intervals_of(sys_, flat)), n)
+        slab = [round(f * h) for f, h in zip(fractions, heights)]
+        hist = _window_counts(sys_, np.array(slab), n)
+        flat = active_states(sys_, slab)
         for d, (a0, h) in enumerate(zip(sys_.offsets, heights)):
             pref = np.concatenate([[0], np.cumsum(flat[a0 : a0 + h])])
             want = np.bincount(pref[n:] - pref[: max(h - n + 1, 0)], minlength=n + 1)
