@@ -7,6 +7,7 @@ pass means the margin beats the error bar in the required direction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -256,8 +257,6 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
     paths = enumerate_paths(model.system, window)
     weight = model.weight_at(np.arange(model.system.n_states))
     bins: dict[tuple, list[float]] = {}
-    import itertools
-
     for path, pprob in paths:
         if pprob == 0.0:
             continue
@@ -340,9 +339,12 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
     towers are a suffix of the tower order (the remainder alone, which
     tower_chain_system appends last) this is the plain tower-order sum.  A
     chunk of C lags costs about C ((K - j) / h_(j) + j / h_(0)) slice-adds,
-    against C K / h_(0) for blocks of min(H) alone.  The prefix sums of
-    |u - 1/mu| and of TV restart at each chunk, and only the last max(H)
-    values of u and TV are carried over.
+    against C K / h_(0) for blocks of min(H) alone.  Every chunk makes the
+    same slice-adds on the same buffer, so each stream makes their views
+    once and every chunk reuses them; the floats are those of slicing anew.
+    The prefix sums of |u - 1/mu| and of TV restart at each chunk, in
+    buffers each stream allocates once, and only the last max(H) values of
+    u and TV are carried over.
     """
     H = sys.heights
     lam = sys.level_masses
@@ -359,24 +361,32 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, np.ndarray]]:
     C = max(W, 1024)
     u = np.zeros(W + C)  # times m0 - W .. m0 + C - 1
     tv = np.zeros(W + C)  # ages m0 - W .. m0 + C - 1
+    err = np.zeros(W + C + 1)  # prefix sums of |u - 1/mu|, err[0] = 0
+    tail = np.zeros(W + C + 1)  # prefix sums of tv, tail[0] = 0
+    dev = err[1:]  # |u - 1/mu|, then its prefix sums, made in place
     u[W] = 1.0
+    # every chunk makes the same slice-adds on u, so their views are made once
+    plan = []
+    for t0 in range(W, W + C, L):
+        t1 = min(t0 + L, W + C)
+        for rd, hd in long_:
+            plan.append((u[t0:t1], rd, u[t0 - hd : t1 - hd]))
+        for s0 in range(t0, t1, B):
+            s1 = min(s0 + B, t1)
+            for rd, hd in short:
+                plan.append((u[s0:s1], rd, u[s0 - hd : s1 - hd]))
     ages = np.arange(C)
     m0 = 0
     while True:
-        for t0 in range(W, W + C, L):
-            t1 = min(t0 + L, W + C)
-            for rd, hd in long_:
-                u[t0:t1] += rd * u[t0 - hd : t1 - hd]
-            for s0 in range(t0, t1, B):
-                s1 = min(s0 + B, t1)
-                for rd, hd in short:
-                    u[s0:s1] += rd * u[s0 - hd : s1 - hd]
-        err = np.concatenate([[0.0], np.cumsum(np.abs(u - inv_mu))])
+        for dst, rd, src in plan:
+            dst += rd * src
+        np.subtract(u, inv_mu, out=dev)
+        np.cumsum(np.abs(dev, out=dev), out=dev)
         tv[W:] = 0.0
         for rd, hd in zip(r, H):
             tv[W:] += rd * (err[W + 1 :] - err[W + 1 - hd : W + C + 1 - hd])
         tv[W:] *= 0.5
-        tail = np.concatenate([[0.0], np.cumsum(tv)])
+        np.cumsum(tv, out=tail[1:])
         beta = np.zeros(C)
         for lm, hl in zip(lam, H):
             a = tail[W : W + C]

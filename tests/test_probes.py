@@ -1,5 +1,6 @@
 """Probe semantics: LLT/CLT inequalities, MDS checks, mixing, baseline."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -295,17 +296,21 @@ class TestMixing:
     @staticmethod
     def _beta_reference(sys_, n_lags):
         """beta(0 .. n_lags - 1) from u(t) = sum_d r_d u(t - H_d) advanced one
-        lag at a time, summed in tower order.  The assembly of beta mirrors
-        the stream's (prefix sums restarting at each chunk of max(max H, 1024)
-        lags, the deterministic term at every lag), so its floats equal the
-        stream's whenever the stream's u does; test_stream_equals_dense_matrix
-        _powers checks what beta means."""
+        lag at a time, summed in the stream's order: the long towers in tower
+        order, then the short ones in tower order, split by the stream's rule.
+        The assembly of beta mirrors the stream's (prefix sums restarting at
+        each chunk of max(max H, 1024) lags, the deterministic term at every
+        lag), so its floats equal the stream's; test_stream_equals_dense
+        _matrix_powers checks what beta means."""
         H, r, lam = sys_.heights, sys_.landing, sys_.level_masses
         W = int(H.max())
         C = max(W, 1024)
         T = -(-n_lags // C) * C
         u = [0.0] * W + [1.0] + [0.0] * (T - 1)  # u[W + t] = u(t)
-        pairs = [(float(rd), int(hd)) for rd, hd in zip(r, H)]
+        K, hs = len(H), np.sort(H)
+        split = hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])]
+        pairs = [(float(rd), int(hd)) for rd, hd in zip(r, H) if hd >= split]
+        pairs += [(float(rd), int(hd)) for rd, hd in zip(r, H) if hd < split]
         for t in range(W, W + T):
             for rd, hd in pairs:
                 u[t] = u[t] + rd * u[t - hd]
@@ -346,24 +351,33 @@ class TestMixing:
         # covers every outer-block, sub-block and chunk boundary
         n_lags = 2 * max(int(sys_.heights.max()), 1024) + 2
         got = np.array(mixing_profile(sys_, range(n_lags)).beta)
-        want = self._beta_reference(sys_, n_lags)
-        # the stream sums u over the long towers, then the short ones, each
-        # in tower order: the tower-order sum when the short ones come last
-        K, hs = len(towers), np.sort(sys_.heights)
-        split = hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])]
-        is_short = list(sys_.heights < split)
-        if is_short == sorted(is_short):
-            assert np.array_equal(got, want)
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, self._beta_reference(sys_, n_lags))
 
-    def test_desk_stream_is_the_tower_order_reference_bitwise(self):
-        s = derive_schedule_thm3(DESK_THM3, 3)
+    @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
+    def test_desk_stream_is_the_tower_order_reference_bitwise(self, c, beta, K):
+        # (0.1, 1, 8) has three short towers, and they are not a suffix
+        s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
         chain = tower_chain_system(s)
         lags = mixing_probe(chain, s).details["m_lags"]
         n_lags = lags[-1] + 1
         got = np.array(mixing_profile(chain, range(n_lags)).beta)
         assert np.array_equal(got, self._beta_reference(chain, n_lags))
+
+    @pytest.mark.parametrize("sys_", [
+        tower_chain_system(derive_schedule_thm3(DESK_THM3, 3)),
+        build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)]),
+    ])
+    def test_two_streams_on_one_system_are_independent(self, sys_):
+        # each generator advances its own u and tv: streams advanced in turn
+        # yield what a lone stream yields, chunk for chunk
+        alone = list(itertools.islice(probes._beta_chunks(sys_), 3))
+        a, b = probes._beta_chunks(sys_), probes._beta_chunks(sys_)
+        for m0, want in alone:
+            for stream in (a, b):
+                got_m0, got = next(stream)
+                assert got_m0 == m0 and np.array_equal(got, want)
+        lags = [0, 1, 5, 1023, 1024, 2 * max(int(sys_.heights.max()), 1024) + 7]
+        assert mixing_profile(sys_, lags) == mixing_profile(sys_, lags)
 
     @pytest.mark.parametrize("K, lags, betas", [
         (3, [63457, 79887, 96347],
