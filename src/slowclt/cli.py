@@ -23,7 +23,7 @@ from . import probes as pr
 from .reporting import (
     SCHEMA_VERSION,
     ExperimentConfig,
-    _fmt,
+    _json_default,
     _probe_record,
     _schedule_record,
     model_summary,
@@ -67,7 +67,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _print_record(record: dict) -> None:
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(json.dumps(record, indent=2, sort_keys=True, default=_json_default))
 
 
 def _cmd_schedule(args) -> int:
@@ -77,8 +77,8 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_build(args) -> int:
     model = build_counterexample(schedule_of(_config_from_args(args)))
-    _print_record(_fmt({"record": "model", **model_summary(model), "variant": model.variant,
-                        "aperiodic": model.system.is_aperiodic()}))
+    _print_record({"record": "model", **model_summary(model), "variant": model.variant,
+                   "aperiodic": model.system.is_aperiodic()})
     return EXIT_OK
 
 

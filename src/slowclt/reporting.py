@@ -5,7 +5,8 @@ report.txt (human summary), report.ndjson (one record per probe, floats at
 full precision), and curves.csv (per-index values for plotting).  The
 ndjson stream doubles as a certificate: every record is a deterministic
 function of the header, so verify_certificate reruns the experiment the
-header describes and compares each record with the rerun, field by field.
+header describes and compares each record's line with the rerun's text,
+field by field (floats within 1e-12 relative) only where the text differs.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _run_baseline(config: ExperimentConfig) -> list[pr.ProbeResult]:
     results.append(pr.ProbeResult(
         name="baseline-span-decay", index=400, value=values[2], bound=values[0],
         direction="<=", method="exact",
-        details={"sup_deviation": dict(zip((100, 200, 400), values))},
+        details={"sup_deviation": dict(zip(("100", "200", "400"), values))},
     ))
     results.append(pr.ProbeResult(
         name="baseline-span-small", index=400, value=values[2], bound=0.05,
@@ -198,48 +199,39 @@ def _run_baseline(config: ExperimentConfig) -> list[pr.ProbeResult]:
 # -- serialization -----------------------------------------------------------
 
 
-def _fmt(x) -> object:
-    if isinstance(x, (bool, np.bool_)):
+def _json_default(x) -> object:
+    """A numpy scalar's Python value, and any other non-JSON object's str."""
+    if isinstance(x, np.bool_):
         return bool(x)
-    if isinstance(x, (float, np.floating)):
-        return float("%.17g" % float(x))
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _fmt(v) for k, v in x.items()}
-    if isinstance(x, (int, str)) or x is None:
-        return x
+    if isinstance(x, np.floating):
+        return float(x)
     return str(x)
 
 
+# a record's line of report.ndjson; floats as their repr, which round-trips
+_encode = json.JSONEncoder(sort_keys=True, default=_json_default).encode
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, not copied."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _probe_record(r: pr.ProbeResult) -> dict:
-    return _fmt({
-        "record": "probe",
-        "name": r.name,
-        "index": r.index,
-        "value": r.value,
-        "bound": r.bound,
-        "direction": r.direction,
-        "method": r.method,
-        "error": r.error,
-        "passed": r.passed,
-        "details": r.details,
-    })
+    return {"record": "probe", **_fields(r), "passed": r.passed}
 
 
 def _schedule_record(sched: Schedule) -> dict:
-    d = dataclasses.asdict(sched)
-    d["record"] = "schedule"
-    return _fmt(d)
+    return {"record": "schedule", **_fields(sched)}
 
 
 def _records(bundle: ReportBundle) -> list[dict]:
     """The certificate's records: header, schedule and model (when built), probes."""
     from . import __version__
 
-    records = [_fmt({
+    records = [{
         "record": "header",
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -249,11 +241,11 @@ def _records(bundle: ReportBundle) -> list[dict]:
         "seed": bundle.config.seed,
         "mc_reps": bundle.config.mc_reps,
         "constants": bundle.config.constants,
-    })]
+    }]
     if bundle.schedule is not None:
         records.append(_schedule_record(bundle.schedule))
     if bundle.model_summary:
-        records.append(_fmt({"record": "model", **bundle.model_summary}))
+        records.append({"record": "model", **bundle.model_summary})
     return records + [_probe_record(r) for r in bundle.results]
 
 
@@ -278,7 +270,7 @@ def write_report(bundle: ReportBundle, out_dir: str) -> dict[str, str]:
         "ndjson": os.path.join(out_dir, "report.ndjson"),
         "csv": os.path.join(out_dir, "curves.csv"),
     }
-    lines = [json.dumps(rec, sort_keys=True) for rec in _records(bundle)]
+    lines = [_encode(rec) for rec in _records(bundle)]
     _atomic_write(paths["ndjson"], "\n".join(lines) + "\n")
 
     _atomic_write(paths["csv"], _curves_csv(bundle))
@@ -352,15 +344,16 @@ def verify_certificate(ndjson_path: str) -> list[str]:
     Returns one line per record compared.  Raises ParseError for malformed
     input, including a header that does not describe a run, and
     BoundMismatch when the records differ from the rerun's in kind or
-    number, when any field differs from the rerun's (integers, strings,
-    booleans and None exactly, floats within 1e-12 relative), or when a
-    probe of the rerun fails.  The probes compute every bound from the
-    schedule, so the rerun is the one source of the bounds the file must
-    carry.
+    number, when a line that is not the rerun record's text differs from
+    it in a field (integers, strings, booleans and None exactly, floats
+    within 1e-12 relative), or when a probe of the rerun fails.  The probes
+    compute every bound from the schedule, so the rerun is the one source
+    of the bounds the file must carry.
     """
     try:
         with open(ndjson_path) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        records = [json.loads(line) for line in lines]
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse certificate: {exc}") from exc
     if not records or not isinstance(records[0], dict) or records[0].get("record") != "header":
@@ -386,16 +379,17 @@ def verify_certificate(ndjson_path: str) -> list[str]:
     if [rec["record"] for rec in want[1:]] != kinds:
         raise BoundMismatch(f"records {kinds} differ from the rerun's "
                             f"{[rec['record'] for rec in want[1:]]}")
-    _compare(header, want[0], "header")
     checks: list[str] = []
-    for got, rec in zip(records[1:], want[1:]):
-        if rec["record"] == "probe":
-            label = f"{rec['name']}[{rec['index']}]"
-            _compare(got, rec, label)
-            checks.append(f"{label}: every field re-derived")
-        else:
-            _compare(got, rec, rec["record"])
-            checks.append(f"{rec['record']} record: every field rebuilt from the header")
+    for line, got, rec in zip(lines, records, want):
+        kind = rec["record"]
+        where = f"{rec['name']}[{rec['index']}]" if kind == "probe" else kind
+        text = _encode(rec)
+        if line != text:
+            _compare(got, json.loads(text), where)
+        if kind == "probe":
+            checks.append(f"{where}: every field re-derived")
+        elif kind != "header":
+            checks.append(f"{kind} record: every field rebuilt from the header")
     failed = [f"{r.name}[{r.index}]" for r in bundle.results if not r.passed]
     if failed:
         raise BoundMismatch(f"probes that fail on the rerun: {', '.join(failed)}")

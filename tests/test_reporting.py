@@ -1,12 +1,16 @@
 """Config parsing, report writing, certificate verification, CLI exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from slowclt import reporting
 from slowclt import (
     BoundMismatch,
     ConfigError,
@@ -520,10 +524,14 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def golden(tmp_path_factory):
+def golden_bundles():
+    return {variant: run_experiment(desk_config(**over)) for variant, over in GOLDEN.items()}
+
+
+@pytest.fixture(scope="module")
+def golden(golden_bundles, tmp_path_factory):
     out = {}
-    for variant, over in GOLDEN.items():
-        bundle = run_experiment(desk_config(**over))
+    for variant, bundle in golden_bundles.items():
         assert bundle.all_passed
         path = write_report(bundle, str(tmp_path_factory.mktemp(variant)))["ndjson"]
         out[variant] = open(path).read().splitlines()
@@ -547,6 +555,36 @@ def _leaf_mutations(value, path=()):
         yield path, value * (1.0 + 1e-9) if value != 0.0 else 1e-300
     elif isinstance(value, str):
         yield path, value + "x"
+
+
+def _count_compares(monkeypatch) -> list:
+    """Record each record verify walks field by field (each top-level _compare)."""
+    walked = []
+    real = reporting._compare
+
+    def counting(got, want, where):
+        if "." not in where:  # a field inside a record is named record.field
+            walked.append(where)
+        return real(got, want, where)
+
+    monkeypatch.setattr(reporting, "_compare", counting)
+    return walked
+
+
+def _nudge_floats(value) -> bool:
+    """Move every finite nonzero float leaf 4 ulps away from zero, in place."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    moved = False
+    for key, v in list(items):
+        if type(v) is float and v != 0.0 and math.isfinite(v):
+            for _ in range(4):
+                v = math.nextafter(v, math.copysign(math.inf, v))
+            value[key] = v
+            moved = True
+        else:
+            moved = _nudge_floats(v) or moved
+    return moved
 
 
 class TestEveryFieldVerified:
@@ -577,6 +615,48 @@ class TestEveryFieldVerified:
         assert tried > 25
         assert survivors == []
 
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_untampered_certificate_is_never_walked(self, golden, tmp_path, monkeypatch,
+                                                    variant):
+        # every line is the text the rerun encodes to, so no field is compared
+        walked = _count_compares(monkeypatch)
+        path = tmp_path / "report.ndjson"
+        path.write_text("\n".join(golden[variant]) + "\n")
+        assert _rederived(verify_certificate(str(path))) == _probe_labels(golden[variant])
+        assert walked == []
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_floats_moved_by_4_ulps_verify(self, golden, tmp_path, monkeypatch, variant):
+        # inside the 1e-12 relative tolerance: every moved line is walked, and passes
+        lines = list(golden[variant])
+        moved = 0
+        for i in range(1, len(lines)):
+            rec = json.loads(lines[i])
+            if _nudge_floats(rec):
+                lines[i] = json.dumps(rec, sort_keys=True)
+                moved += 1
+        assert moved > 0
+        walked = _count_compares(monkeypatch)
+        path = tmp_path / "moved.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        assert _rederived(verify_certificate(str(path))) == _probe_labels(golden[variant])
+        assert len(walked) == moved
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_every_record_key_is_a_str(self, golden_bundles, variant):
+        # json sorts the keys it is given, so an int key would sort apart from its text
+        def keys(value):
+            if isinstance(value, dict):
+                yield from value
+                for v in value.values():
+                    yield from keys(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from keys(v)
+
+        found = list(keys(reporting._records(golden_bundles[variant])))
+        assert found and all(type(key) is str for key in found)
+
     def test_extra_field_is_bound_mismatch(self, golden, tmp_path):
         lines = list(golden["thm1"])
         rec = json.loads(lines[-1])
@@ -597,6 +677,27 @@ class TestEveryFieldVerified:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(BoundMismatch, match=field):
             verify_certificate(str(path))
+
+
+# values JSON lacks, and the text certificates have always carried for each
+ENCODED = {
+    "float64": (np.float64(0.1), "0.1"),
+    "float32": (np.float32(0.1), "0.10000000149011612"),
+    "int64": (np.int64(3), "3"),
+    "bool_": (np.bool_(True), "true"),
+    "tuple": ((1, 2.5), "[1, 2.5]"),
+    "Fraction": (Fraction(1, 3), '"1/3"'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENCODED))
+def test_encoded_text_of_values_json_lacks(capsys, kind):
+    from slowclt.cli import _print_record
+
+    value, text = ENCODED[kind]
+    assert reporting._encode({"x": value}) == '{"x": %s}' % text
+    _print_record({"x": value})
+    assert json.loads(capsys.readouterr().out) == {"x": json.loads(text)}
 
 
 HEADER_DEFECTS = {
