@@ -273,27 +273,61 @@ def two_interval_sum_probability(n: int, u) -> Fraction:
     return Fraction(scale - 2 * tail, scale)
 
 
-ROOT_N_BITS = 64  # b_n is evaluated at sqrt(n) rounded down to a multiple of 2^-64
+ROOT_N_BITS = 64  # b_n is evaluated at a rational p/q with sqrt(n) - 2^-64 <= p/q <= sqrt(n)
+
+
+def root_n_lower(n: int) -> Fraction:
+    """The lower convergent or semiconvergent p/q of sqrt(n) of smallest q
+    with (n q^2 - p^2) / (p q) <= 2^(1 - ROOT_N_BITS), a bound on 2 (sqrt(n) - p/q).
+
+    The lower convergents p_k/q_k (k even) of sqrt(n)'s continued fraction
+    and the semiconvergents (p_k + i p_{k+1}) / (q_k + i q_{k+1}), i <=
+    a_{k+2}, between them rise towards sqrt(n) as q grows (Khinchin,
+    Continued Fractions, ch. I-II), and n/x - x falls as x = p/q rises, so
+    only the semiconvergents below the first lower convergent that meets
+    the bound are tried.  q has about ROOT_N_BITS / 2 bits, half as many as
+    rounding to a multiple of 2^-ROOT_N_BITS takes.  A square n gives its
+    root.
+    """
+    a0 = math.isqrt(n)
+    if a0 * a0 == n:
+        return Fraction(a0)
+
+    def close(p, q):
+        return (n * q * q - p * p) << (ROOT_N_BITS - 1) <= p * q
+
+    m, d, a = 0, 1, a0  # the complete quotient (m + sqrt(n)) / d and its floor
+    pl, ql, pu, qu = a0, 1, 1, 0  # the last lower convergent and the upper one before it
+    for k in itertools.count(1):
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        if k % 2:
+            pu, qu = pu + a * pl, qu + a * ql
+        elif close(pl + a * pu, ql + a * qu):
+            i = next(i for i in range(1, a + 1) if close(pl + i * pu, ql + i * qu))
+            return Fraction(pl + i * pu, ql + i * qu)
+        else:
+            pl, ql = pl + a * pu, ql + a * qu
 
 
 def root_n_interval_probability(n: int) -> IntervalProbability:
     """b_n = P(|g_1 + ... + g_n| <= sqrt(n)) for the two-interval noise.
 
-    One exact evaluation, at u_lo = isqrt(n 4^64)/2^64, so sqrt(n) - 2^-64 <
-    u_lo <= sqrt(n).  g has density <= 1, and convolving with a probability
-    law cannot raise a density's supremum, so S_n has density <= 1 and b_n -
-    P(|S_n| <= u_lo) = P(u_lo < |S_n| <= sqrt(n)) <= 2 (sqrt(n) - u_lo) <
-    2^-63.  value is P(|S_n| <= u_lo) rounded down to a float and error is
-    (that - value) + 2^-63 rounded up, so b_n lies in [value, value +
-    error]: the float rounding and the gap to sqrt(n) are inside error and
-    there is no sampling error.
+    One exact evaluation, at u_lo = root_n_lower(n), so sqrt(n) - 2^-64 <=
+    u_lo <= sqrt(n) with a denominator of about 32 bits.  g has density <=
+    1, and convolving with a probability law cannot raise a density's
+    supremum, so S_n has density <= 1 and b_n - P(|S_n| <= u_lo) = P(u_lo <
+    |S_n| <= sqrt(n)) <= 2 (sqrt(n) - u_lo) <= 2^-63.  value is P(|S_n| <=
+    u_lo) rounded down to a float and error is (that - value) + 2^-63
+    rounded up, so b_n lies in [value, value + error]: the float rounding
+    and the gap to sqrt(n) are inside error and there is no sampling error.
     """
-    scale = 1 << ROOT_N_BITS
-    lo = two_interval_sum_probability(n, Fraction(math.isqrt(n * scale * scale), scale))
+    lo = two_interval_sum_probability(n, root_n_lower(n))
     value = float(lo)
     if Fraction(value) > lo:
         value = math.nextafter(value, -math.inf)
-    gap = lo - Fraction(value) + Fraction(2, scale)
+    gap = lo - Fraction(value) + Fraction(2, 1 << ROOT_N_BITS)
     error = float(gap)
     if Fraction(error) < gap:
         error = math.nextafter(error, math.inf)

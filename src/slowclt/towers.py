@@ -92,6 +92,63 @@ class TowerSystem:
         out[self.offsets[:-1]] = dist[self.offsets[1:] - 1].sum() * self.landing
         return out
 
+    def renewal_chunks(self) -> Iterator[np.ndarray]:
+        """Yield u(m0 .. m0 + C - 1) for m0 = 0, C, 2C, ..., C = max(max H, 1024).
+
+        The landing row r does not depend on the tower left, so after a landing
+        the chain's law is fixed by the renewal sequence (Feller, An
+        Introduction to Probability Theory, Vol. I, ch. XIII) u(0) = 1, u(t) =
+        sum_d r_d u(t - H_d), u(t < 0) = 0: at age a the state is (d, i) with
+        probability r_d u(a - i), and pi(d, i) = r_d / mu with
+        mu = sum r_d H_d.
+
+        u is advanced by a two-level recursion, each slice-add reading only
+        values already complete.  With the heights sorted, h_(0) <= h_(1) <=
+        ..., the towers of height below h_(j) are short and the rest long, for
+        the split j in [0, K) that minimises (K - j) / h_(j) + j / h_(0), the
+        first on ties; j = 0 makes every tower long.  Outer blocks of length
+        h_(j) add each long tower once, then sub-blocks of length h_(0) inside
+        the block add each short tower once.  So u(t) sums the long towers in
+        tower order, then the short towers in tower order; when the short
+        towers are a suffix of the tower order (the remainder alone, which
+        tower_chain_system appends last) this is the plain tower-order sum.  A
+        chunk of C lags costs about C ((K - j) / h_(j) + j / h_(0)) slice-adds,
+        against C K / h_(0) for blocks of min(H) alone.  Every chunk makes the
+        same slice-adds on the same buffer, so each stream makes their views
+        once and every chunk reuses them; the floats are those of slicing anew.
+        Only the last max(H) values of u are carried over.  The yielded array
+        is the stream's buffer, overwritten by the next chunk.
+        """
+        H = self.heights
+        r = self.landing
+        W, B = int(H.max()), int(H.min())
+        hs = np.sort(H)
+        K = len(hs)
+        L = int(hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])])
+        long_ = [(rd, hd) for rd, hd in zip(r, H) if hd >= L]
+        short = [(rd, hd) for rd, hd in zip(r, H) if hd < L]
+        # lags per chunk: at least max(H), so the carried history fits, and at
+        # least 1024, so short towers do not cost a numpy call per few lags
+        C = max(W, 1024)
+        u = np.zeros(W + C)  # times m0 - W .. m0 + C - 1
+        u[W] = 1.0
+        # every chunk makes the same slice-adds on u, so their views are made once
+        plan = []
+        for t0 in range(W, W + C, L):
+            t1 = min(t0 + L, W + C)
+            for rd, hd in long_:
+                plan.append((u[t0:t1], rd, u[t0 - hd : t1 - hd]))
+            for s0 in range(t0, t1, B):
+                s1 = min(s0 + B, t1)
+                for rd, hd in short:
+                    plan.append((u[s0:s1], rd, u[s0 - hd : s1 - hd]))
+        while True:
+            for dst, rd, src in plan:
+                dst += rd * src
+            yield u[W:]
+            u[:W] = u[C:]
+            u[W:] = 0.0
+
 
 def build_tower_system(specs: Sequence[TowerSpec]) -> TowerSystem:
     return TowerSystem(specs)

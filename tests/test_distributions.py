@@ -37,6 +37,7 @@ from slowclt.distributions import (
     _tail_coefficients,
     lattice_sum_by_path_enumeration,
     root_n_interval_probability,
+    root_n_lower,
     sample_partial_sums,
     two_interval_sum_probability,
 )
@@ -269,8 +270,8 @@ class TestRootNIntervalProbability:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 13, 25, 26, 50, 51, 100, 101])
     def test_float_interval_contains_bracket(self, n):
-        # the one evaluation at u_lo plus the unit-density bound covers the
-        # exact values at both multiples of 2^-64 around sqrt(n)
+        # the one evaluation at u_lo = root_n_lower(n) plus the unit-density
+        # bound covers the exact values at u_lo and u_lo + 2^-64 >= sqrt(n)
         lo, hi = _reference_bracket(n)
         b = root_n_interval_probability(n)
         assert Fraction(b.value) <= lo < Fraction(math.nextafter(b.value, math.inf))
@@ -322,13 +323,49 @@ def _reference_two_interval(n, u):
 
 
 def _reference_bracket(n):
-    r = math.isqrt(n)
-    if r * r == n:
-        v = _reference_two_interval(n, Fraction(r))
+    """The exact values at u_lo = root_n_lower(n) and u_lo + 2^-64, which hold
+    sqrt(n) between them (both at sqrt(n) when n is a square)."""
+    u_lo = root_n_lower(n)
+    if u_lo * u_lo == n:
+        v = _reference_two_interval(n, u_lo)
         return v, v
-    scale = 1 << ROOT_N_BITS
-    u_lo = Fraction(math.isqrt(n * scale * scale), scale)
-    return _reference_two_interval(n, u_lo), _reference_two_interval(n, u_lo + Fraction(1, scale))
+    return (_reference_two_interval(n, u_lo),
+            _reference_two_interval(n, u_lo + Fraction(1, 1 << ROOT_N_BITS)))
+
+
+def _lower_approximations(n):
+    """Every lower convergent and semiconvergent p/q of sqrt(n), by rising q:
+    the k-th convergent of the continued fraction from its partial quotients,
+    and for odd k the fractions (p_{k-1} + i p_k) / (q_{k-1} + i q_k), i = 1 ..
+    a_{k+1}, which end at the next lower convergent."""
+    a0 = math.isqrt(n)
+    yield a0, 1
+    if a0 * a0 == n:
+        return
+    m, d, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    for k in itertools.count(1):
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        if k % 2 == 0:
+            yield from ((p0 + i * p1, q0 + i * q1) for i in range(1, a + 1))
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+
+
+class TestRootNLower:
+    """The rational sqrt(n) is rounded down to for the exact b_n evaluation."""
+
+    def test_first_lower_approximation_within_the_bound(self):
+        scale = 1 << ROOT_N_BITS
+        for n in [*range(1, 400), 962, 963, 3845, 15592]:
+            want = next(Fraction(p, q) for p, q in _lower_approximations(n)
+                        if (n * q * q - p * p) * scale <= 2 * p * q)
+            u_lo = root_n_lower(n)
+            assert u_lo == want, n
+            # sqrt(n) - 2^-64 <= u_lo <= sqrt(n), with half the bits of the 2^-64 grid
+            assert u_lo * u_lo <= n <= (u_lo + Fraction(1, scale)) ** 2
+            assert u_lo.denominator < 2**40
 
 
 @st.composite
@@ -363,11 +400,10 @@ class TestSingleCdfSum:
 
     @pytest.mark.parametrize("n", [26, 50, 51, 100, 101])
     def test_bracket_equals_reference(self, n):
-        # the one sum at both multiples of 2^-64 around sqrt(n) (at sqrt(n)
+        # the one sum at root_n_lower(n) and 2^-64 above it (at sqrt(n)
         # itself when n is a square), past the n <= 30 the property test draws
-        scale = 1 << ROOT_N_BITS
-        u_lo = Fraction(math.isqrt(n * scale * scale), scale)
-        u_hi = u_lo if u_lo * u_lo == n else u_lo + Fraction(1, scale)
+        u_lo = root_n_lower(n)
+        u_hi = u_lo if u_lo * u_lo == n else u_lo + Fraction(1, 1 << ROOT_N_BITS)
         bracket = (two_interval_sum_probability(n, u_lo), two_interval_sum_probability(n, u_hi))
         assert bracket == _reference_bracket(n)
 

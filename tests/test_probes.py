@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slowclt import (
@@ -294,44 +296,73 @@ class TestMixing:
             assert abs(got - float(pi @ (0.5 * np.abs(M - pi).sum(axis=1)))) <= 1e-12
 
     @staticmethod
-    def _beta_reference(sys_, n_lags):
-        """beta(0 .. n_lags - 1) from u(t) = sum_d r_d u(t - H_d) advanced one
-        lag at a time, summed in the stream's order: the long towers in tower
-        order, then the short ones in tower order, split by the stream's rule.
-        The assembly of beta mirrors the stream's (prefix sums restarting at
-        each chunk of max(max H, 1024) lags, the deterministic term at every
-        lag), so its floats equal the stream's; test_stream_equals_dense
-        _matrix_powers checks what beta means."""
-        H, r, lam = sys_.heights, sys_.landing, sys_.level_masses
+    def _u_reference(sys_, n):
+        """u(0 .. n - 1) from u(t) = sum_d r_d u(t - H_d) advanced one lag at a
+        time, summed in the stream's order: the long towers in tower order,
+        then the short ones in tower order, split by the stream's rule."""
+        H, r = sys_.heights, sys_.landing
         W = int(H.max())
-        C = max(W, 1024)
-        T = -(-n_lags // C) * C
-        u = [0.0] * W + [1.0] + [0.0] * (T - 1)  # u[W + t] = u(t)
+        u = [0.0] * W + [1.0] + [0.0] * (n - 1)  # u[W + t] = u(t)
         K, hs = len(H), np.sort(H)
         split = hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])]
         pairs = [(float(rd), int(hd)) for rd, hd in zip(r, H) if hd >= split]
         pairs += [(float(rd), int(hd)) for rd, hd in zip(r, H) if hd < split]
-        for t in range(W, W + T):
+        for t in range(W, W + n):
             for rd, hd in pairs:
                 u[t] = u[t] + rd * u[t - hd]
-        u = np.array(u)
-        inv_mu = 1.0 / float(np.dot(r, H))
-        tv = np.zeros(W + T)  # tv[W + a] = TV_a
-        ages = np.arange(C)
-        out = []
-        for m0 in range(0, T, C):
-            err = np.concatenate([[0.0], np.cumsum(np.abs(u[m0 : m0 + W + C] - inv_mu))])
-            chunk = np.zeros(C)
-            for rd, hd in zip(r, H):
-                chunk += rd * (err[W + 1 :] - err[W + 1 - hd : W + C + 1 - hd])
-            tv[m0 + W : m0 + W + C] = 0.5 * chunk
-            tail = np.concatenate([[0.0], np.cumsum(tv[m0 : m0 + W + C])])
-            beta = np.zeros(C)
-            for lm, hl in zip(lam, H):
-                deterministic = np.maximum(hl - m0 - ages, 0) * (1.0 - lm)
-                beta += lm * (deterministic + tail[W : W + C] - tail[W - hl : W + C - hl])
-            out.append(beta)
-        return np.concatenate(out)[:n_lags]
+        return np.array(u[W:])
+
+    @staticmethod
+    def _streamed_u(sys_, n):
+        parts = []
+        for u in sys_.renewal_chunks():
+            parts.append(u.copy())
+            if len(parts) * len(u) >= n:
+                return np.concatenate(parts)[:n]
+
+    @staticmethod
+    def _beta_exact(sys_, u, lags):
+        """beta at each lag as a Fraction, from the floats u, r, lambda and 1/mu
+        of the stream, by the sum over ages rather than the kernel:
+
+            TV_a = 1/2 sum_d r_d sum_{a - H_d < s <= a} |u(s) - 1/mu|,  u(s < 0) = 0,
+            beta(m) = sum_l lambda_l [(H_l - m)_+ (1 - lambda_l) + sum_{max(0, m - H_l) <= a < m} TV_a].
+
+        Every float is an integer multiple of 2^-1074, so the sums run over
+        integers and are exact; TV_a moves by the two terms entering and
+        leaving each window, and P(m) = sum_{a < m} TV_a is kept where needed."""
+        S = 1074
+
+        def z(x):  # x 2^S, an integer
+            num, den = float(x).as_integer_ratio()
+            return num * ((1 << S) // den)
+
+        H = [int(h) for h in sys_.heights]
+        r, lam = [z(x) for x in sys_.landing], [z(x) for x in sys_.level_masses]
+        inv = z(1.0 / float(np.dot(sys_.landing, sys_.heights)))
+        W = max(H)
+        e = [inv] * W + [abs(z(x) - inv) for x in u]  # e[W + s] = |u(s) - 1/mu| 2^S
+        need = {max(0, m - h) for m in lags for h in H} | set(lags)
+        tv2 = sum(rd * hd for rd, hd in zip(r, H)) * inv  # 2 TV_{-1} 2^(2S)
+        P, at = 0, {}
+        for a in range(len(u)):
+            if a in need:
+                at[a] = P
+            tv2 += sum(rd * (e[W + a] - e[W + a - hd]) for rd, hd in zip(r, H))
+            P += tv2
+        at[len(u)] = P
+        one = 1 << S
+        return [Fraction(sum(lm * (2 * max(0, hl - m) * (one - lm) * one + at[m] - at[max(0, m - hl)])
+                             for lm, hl in zip(lam, H)), 1 << (3 * S + 1))
+                for m in lags]
+
+    @classmethod
+    def _assert_beta_exact(cls, sys_, lags):
+        lags = sorted(lags)
+        got = mixing_profile(sys_, lags).beta
+        want = cls._beta_exact(sys_, cls._u_reference(sys_, lags[-1]), lags)
+        for m, g, w in zip(lags, got, want):
+            assert abs(Fraction(g) - w) <= Fraction(1e-14) * w, m
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -347,35 +378,132 @@ class TestMixing:
             rnd.shuffle(towers)
         total = sum(w for _, w in towers)
         sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
-        # every lag of the first two chunks and past the second boundary
-        # covers every outer-block, sub-block and chunk boundary
-        n_lags = 2 * max(int(sys_.heights.max()), 1024) + 2
-        got = np.array(mixing_profile(sys_, range(n_lags)).beta)
-        assert np.array_equal(got, self._beta_reference(sys_, n_lags))
+        # the first two chunks and past the second boundary cover every
+        # outer-block, sub-block and chunk boundary
+        n = 2 * max(int(sys_.heights.max()), 1024) + 2
+        assert np.array_equal(self._streamed_u(sys_, n), self._u_reference(sys_, n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 300), st.floats(0.05, 1.0)), min_size=1, max_size=4),
+        st.lists(st.integers(0, 2100), min_size=1, max_size=20),
+    )
+    @example([(3, 0.2), (20, 0.5), (300, 0.3)], [0, 1, 299, 300, 301, 1023, 1024, 1025, 2049])
+    @example([(1, 0.9), (7, 0.1)], [0, 1, 2, 5, 1024, 1025])  # a level with half the mass
+    def test_beta_equals_exact_tv_assembly(self, towers, lags):
+        total = sum(w for _, w in towers)
+        sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
+        self._assert_beta_exact(sys_, set(lags) | {1})
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
     def test_desk_stream_is_the_tower_order_reference_bitwise(self, c, beta, K):
         # (0.1, 1, 8) has three short towers, and they are not a suffix
         s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
         chain = tower_chain_system(s)
-        lags = mixing_probe(chain, s).details["m_lags"]
-        n_lags = lags[-1] + 1
-        got = np.array(mixing_profile(chain, range(n_lags)).beta)
-        assert np.array_equal(got, self._beta_reference(chain, n_lags))
+        n = mixing_probe(chain, s).details["m_lags"][-1] + 1
+        assert np.array_equal(self._streamed_u(chain, n), self._u_reference(chain, n))
+
+    @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
+    def test_desk_beta_equals_exact_tv_assembly(self, c, beta, K):
+        # the prefix-sum assembly the kernel replaced was 1.4e-13 off at K=3
+        s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
+        chain = tower_chain_system(s)
+        m_lags = mixing_probe(chain, s).details["m_lags"]
+        C = max(int(chain.heights.max()), 1024)
+        edges = [k * C + d for k in range(1, m_lags[-1] // C + 1) for d in (-1, 0, 1)]
+        rng = np.random.default_rng(K)
+        lags = {*m_lags, *(m - 1 for m in m_lags), *edges, *rng.integers(1, m_lags[-1], 20).tolist()}
+        self._assert_beta_exact(chain, lags)
+
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_kernel_equals_fraction_count(self, K):
+        chain = tower_chain_system(derive_schedule_thm3(DESK_THM3, K))
+        H = chain.heights.tolist()
+        pairs = [(Fraction(lm) * Fraction(rd) / 2, hl, hd)
+                 for lm, hl in zip(chain.level_masses.tolist(), H)
+                 for rd, hd in zip(chain.landing.tolist(), H)]
+        kernel = probes._beta_kernel(chain)
+        G = len(kernel)
+        assert G == 2 * max(H) - 1
+        knots = {h for h in H} | {a + b for a in H for b in H}
+        rng = np.random.default_rng(K)
+        js = {j + d for j in knots for d in (-1, 0, 1)} | set(rng.integers(1, G + 1, 300).tolist())
+        for j in sorted(j for j in js if 1 <= j <= G):
+            # kappa(j) = 1/2 sum_{l,d} lambda_l r_d #{a in [1, H_l] : j - H_d < a <= j}
+            want = sum(w * len(range(max(1, j - hd + 1), min(hl, j) + 1)) for w, hl, hd in pairs)
+            assert abs(Fraction(kernel[G - j]) - want) <= Fraction(1e-14) * want, j
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(100, 1500), st.floats(0.05, 1.0)), min_size=1, max_size=3),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(1, 2), st.integers(-1, 1)), max_size=3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    @example([(700, 0.6), (1300, 0.3)], 9, [(1, 0), (2, 1)], [0.1, 0.12, 0.15])  # three in one chunk
+    @example([(700, 0.6), (1300, 0.3)], 9, [(1, -1), (1, 0), (1, 1)], [0.9])  # on the boundary
+    def test_lags_are_the_first_crossings_of_a_scan(self, tall, short, edges, inner):
+        towers = tall + [(short, 0.1)]
+        total = sum(w for _, w in towers)
+        sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
+        assume(sys_.is_aperiodic())  # else beta stops falling at 1 - 1/period
+        C = max(int(sys_.heights.max()), 1024)
+        n = 3 * C
+        prof = mixing_profile(sys_, range(n)).beta
+        # float beta falls with the lag until it nears its rounding floor,
+        # about 1e-16; below 1e-12 a bisection and a scan may part
+        top = next((m for m in range(1, n) if prof[m] < 1e-12 or prof[m] > prof[m - 1]), n)
+        # eps_k = beta at lags on chunk boundaries and inside chunks, so a
+        # scan of the profile crosses each before top
+        picks = {k * C + d for k, d in edges} | {1 + int(x * (n - 2)) for x in inner}
+        picks = sorted(m for m in picks if m < top)
+        assume(picks)
+        eps = [prof[m] for m in picks]
+        want, start = [], 1
+        for e in eps:
+            m = next(m for m in range(start, n) if prof[m] <= e)
+            want.append(m)
+            start = m + 1
+        assert _mixing_lags(sys_, eps) == (want, [prof[m] for m in want])
+
+    def test_lag_cap_stops_the_search(self):
+        s = derive_schedule_thm3(DESK_THM3, 3)
+        chain = tower_chain_system(s)
+        lags, betas = _mixing_lags(chain, s.eps)  # 63457, 79887, 96347
+        for cap, found in [(lags[1] - 1, 1), (lags[1], 2), (lags[0] - 1, 0)]:
+            with mock.patch.object(probes, "LAG_CAP", cap):
+                assert _mixing_lags(chain, s.eps) == (lags[:found], betas[:found])
+
+    def test_scan_memory_is_a_few_max_h(self):
+        # u, |u - 1/mu| and the kernel are about 8 max(H) floats (the
+        # prefix-sum assembly the kernel replaced held about 13)
+        s = derive_schedule_thm3(DESK_THM3, 6)
+        chain = tower_chain_system(s)
+        tracemalloc.start()
+        try:
+            lags, _ = _mixing_lags(chain, s.eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lags) == len(s.eps)
+        assert peak <= 10 * 8 * int(chain.heights.max())
 
     @pytest.mark.parametrize("sys_", [
         tower_chain_system(derive_schedule_thm3(DESK_THM3, 3)),
         build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)]),
     ])
     def test_two_streams_on_one_system_are_independent(self, sys_):
-        # each generator advances its own u and tv: streams advanced in turn
-        # yield what a lone stream yields, chunk for chunk
-        alone = list(itertools.islice(probes._beta_chunks(sys_), 3))
+        # each generator advances its own u and |u - 1/mu|: streams advanced
+        # in turn give what a lone stream gives, chunk for chunk
+        def values(m1, beta):
+            C = max(int(sys_.heights.max()), 1024)
+            return m1, [beta(m) for m in (m1 - C, m1 - C + 1, m1 - C // 2, m1 - 1, m1)]
+
+        alone = [values(*chunk) for chunk in itertools.islice(probes._beta_chunks(sys_), 3)]
         a, b = probes._beta_chunks(sys_), probes._beta_chunks(sys_)
-        for m0, want in alone:
+        for want in alone:
             for stream in (a, b):
-                got_m0, got = next(stream)
-                assert got_m0 == m0 and np.array_equal(got, want)
+                assert values(*next(stream)) == want
         lags = [0, 1, 5, 1023, 1024, 2 * max(int(sys_.heights.max()), 1024) + 7]
         assert mixing_profile(sys_, lags) == mixing_profile(sys_, lags)
 
