@@ -344,8 +344,10 @@ def _beta_kernel(sys: TowerSystem) -> np.ndarray:
 
 def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, Callable[[int], float]]]:
     """Yield (m1, beta) for m1 = C, 2C, ..., C the chunk length of
-    TowerSystem.renewal_chunks: beta(m) is the chain's beta-mixing
-    coefficient at any lag m1 - C <= m <= m1, until the stream is advanced.
+    TowerSystem.renewal_chunks, a whole number of its blocks of L lags with
+    max(max H, 1024) <= C < max(max H, 1024) + L: beta(m) is the chain's
+    beta-mixing coefficient at any lag m1 - C <= m <= m1, until the stream
+    is advanced.
 
     With u from renewal_chunks, the total variation from pi at age a is
     TV_a = 1/2 sum_d r_d sum_{a - H_d < s <= a} |u(s) - 1/mu|, and with
@@ -369,11 +371,11 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, Callable[[int], float]
     Numerical Algorithms, 2nd ed., ch. 3-4), and far less in practice.
     Against an exact rational TV/beta assembly from the same float64 u, r,
     lambda and 1/mu, at thm3 c=0.25 beta=0.5 at the m_k, the m_k - 1 and 40
-    other lags, it was within 2.7e-16, 2.4e-16, 3.6e-16, 8.4e-16 and
-    1.7e-15 relative at K=3..7 (prefix sums of TV: 1.4e-13 to 2.7e-10).
+    other lags, it was within 2.4e-16, 3.3e-16, 3.1e-16, 6.9e-16 and
+    2.0e-15 relative at K=3..7 (prefix sums of TV: 1.4e-13 to 2.7e-10).
     Each chunk keeps |u - 1/mu| at its C times and the 2W - 1 before them,
     in a buffer the stream allocates once; with the kernel, u and the
-    recursion's temporaries the scan peaks near 8 max(H) floats (7.4 at
+    recursion's temporaries the scan peaks near 8 max(H) floats (7.2 at
     K=6).
     """
     H = sys.heights

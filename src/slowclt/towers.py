@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -93,61 +94,60 @@ class TowerSystem:
         return out
 
     def renewal_chunks(self) -> Iterator[np.ndarray]:
-        """Yield u(m0 .. m0 + C - 1) for m0 = 0, C, 2C, ..., C = max(max H, 1024).
+        """Yield u(m0 .. m0 + C - 1) for m0 = 0, C, 2C, ..., C a multiple of L
+        with max(max H, 1024) <= C < max(max H, 1024) + L (L below).
 
         The landing row r does not depend on the tower left, so after a landing
-        the chain's law is fixed by the renewal sequence (Feller, An
-        Introduction to Probability Theory, Vol. I, ch. XIII) u(0) = 1, u(t) =
-        sum_d r_d u(t - H_d), u(t < 0) = 0: at age a the state is (d, i) with
-        probability r_d u(a - i), and pi(d, i) = r_d / mu with
-        mu = sum r_d H_d.
+        the chain's law is fixed by the renewal sequence (Feller, An Introduction
+        to Probability Theory, Vol. I, ch. XIII) u(0) = 1, u(t) = sum_d r_d
+        u(t - H_d), u(t < 0) = 0: at age a the state is (d, i) with probability
+        r_d u(a - i), and pi(d, i) = r_d / mu with mu = sum r_d H_d.
 
-        u is advanced by a two-level recursion, each slice-add reading only
-        values already complete.  With the heights sorted, h_(0) <= h_(1) <=
-        ..., the towers of height below h_(j) are short and the rest long, for
-        the split j in [0, K) that minimises (K - j) / h_(j) + j / h_(0), the
-        first on ties; j = 0 makes every tower long.  Outer blocks of length
-        h_(j) add each long tower once, then sub-blocks of length h_(0) inside
-        the block add each short tower once.  So u(t) sums the long towers in
-        tower order, then the short towers in tower order; when the short
-        towers are a suffix of the tower order (the remainder alone, which
-        tower_chain_system appends last) this is the plain tower-order sum.  A
-        chunk of C lags costs about C ((K - j) / h_(j) + j / h_(0)) slice-adds,
-        against C K / h_(0) for blocks of min(H) alone.  Every chunk makes the
-        same slice-adds on the same buffer, so each stream makes their views
-        once and every chunk reuses them; the floats are those of slicing anew.
-        Only the last max(H) values of u are carried over.  The yielded array
-        is the stream's buffer, overwritten by the next chunk.
+        u is solved in blocks of L = qB lags, q rows of B = min H.  The
+        towers of height B (ties merged) land with a = their summed r_d; the
+        others, the lowest h1 high, read only lags before the block, as
+        q = max(1, min(h1 // B, 8)).  Row i is Y_i = a Y_(i-1) + sum_d r_d
+        S_d[i], S_d the q x B view of u that lies H_d before the block, so
+            Y = T0 (x) Y_(-1) + T1 sum_d r_d S_d = [T0 | r_1 T1 | ...] @ Z,
+        T0[i] = a^(i+1), T1[i, p] = a^(i-p) for p <= i, else 0, each exact and
+        rounded once; Z gathers the row before the block and the S_d at
+        offsets made once per stream.  u(0) = 1 puts a^i at lag iB of block 0.
+        All terms are non-negative, so each value is within a factor
+        1 +- gamma_g, g = 2 + q(K - #ties), of the exact block map of the
+        values before it (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 3); the map is monotone and lag t hangs on t // L + 1
+        blocks, so u(t) is within (1 +- gamma_g)^(t // L + 1) of exact (2.0e-15
+        measured at thm3 c=0.25 beta=0.5 K=3).  Only the last max(H) values are
+        carried over, and the yielded buffer is overwritten by the next chunk.
         """
-        H = self.heights
-        r = self.landing
+        H, r = self.heights, self.landing
         W, B = int(H.max()), int(H.min())
-        hs = np.sort(H)
-        K = len(hs)
-        L = int(hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])])
-        long_ = [(rd, hd) for rd, hd in zip(r, H) if hd >= L]
-        short = [(rd, hd) for rd, hd in zip(r, H) if hd < L]
-        # lags per chunk: at least max(H), so the carried history fits, and at
-        # least 1024, so short towers do not cost a numpy call per few lags
-        C = max(W, 1024)
+        others = [(rd, hd) for rd, hd in zip(r.tolist(), H.tolist()) if hd > B]
+        q = max(1, min(min((hd for _, hd in others), default=8 * B) // B, 8))
+        L = q * B
+        # C >= max(H) keeps the carried history; C >= 1024 keeps numpy calls few per lag
+        C = -(-max(W, 1024) // L) * L
+        n, d = sum(map(Fraction, r[H == B].tolist())).as_integer_ratio()  # a = n / d
+
+        def powers(c):  # c a^k for k = 0 .. q, exact in integers, rounded once
+            cn, cd = c.as_integer_ratio()
+            return np.array([cn * n**k / (cd * d**k) for k in range(q + 1)])
+
+        below = np.subtract.outer(np.arange(q), np.arange(q))  # i - p
+        M = np.hstack([powers(1)[1:, None]] + [np.tril(powers(rd)[below]) for rd, _ in others])
+        # Z's rows start at these lags, the block's at 0: the row before, then each S_d
+        offsets = np.array([-B] + [p - hd for _, hd in others for p in range(0, L, B)])
         u = np.zeros(W + C)  # times m0 - W .. m0 + C - 1
-        u[W] = 1.0
-        # every chunk makes the same slice-adds on u, so their views are made once
-        plan = []
-        for t0 in range(W, W + C, L):
-            t1 = min(t0 + L, W + C)
-            for rd, hd in long_:
-                plan.append((u[t0:t1], rd, u[t0 - hd : t1 - hd]))
-            for s0 in range(t0, t1, B):
-                s1 = min(s0 + B, t1)
-                for rd, hd in short:
-                    plan.append((u[s0:s1], rd, u[s0 - hd : s1 - hd]))
+        rows = np.lib.stride_tricks.sliding_window_view(u, B)
+        plan = list(zip(W + offsets + np.arange(0, C, L)[:, None], u[W:].reshape(-1, q, B)))
+        u[W : W + L : B] = powers(1)[:q]
+        first = 1  # block 0 of the first chunk holds only u(0) = 1 and its landings
         while True:
-            for dst, rd, src in plan:
-                dst += rd * src
+            for at, out in plan[first:]:
+                np.dot(M, rows[at], out=out)
             yield u[W:]
             u[:W] = u[C:]
-            u[W:] = 0.0
+            first = 0
 
 
 def build_tower_system(specs: Sequence[TowerSpec]) -> TowerSystem:

@@ -296,21 +296,53 @@ class TestMixing:
             assert abs(got - float(pi @ (0.5 * np.abs(M - pi).sum(axis=1)))) <= 1e-12
 
     @staticmethod
-    def _u_reference(sys_, n):
-        """u(0 .. n - 1) from u(t) = sum_d r_d u(t - H_d) advanced one lag at a
-        time, summed in the stream's order: the long towers in tower order,
-        then the short ones in tower order, split by the stream's rule."""
-        H, r = sys_.heights, sys_.landing
-        W = int(H.max())
-        u = [0.0] * W + [1.0] + [0.0] * (n - 1)  # u[W + t] = u(t)
-        K, hs = len(H), np.sort(H)
-        split = hs[min(range(K), key=lambda j: (K - j) / hs[j] + j / hs[0])]
-        pairs = [(float(rd), int(hd)) for rd, hd in zip(r, H) if hd >= split]
-        pairs += [(float(rd), int(hd)) for rd, hd in zip(r, H) if hd < split]
-        for t in range(W, W + n):
-            for rd, hd in pairs:
-                u[t] = u[t] + rd * u[t - hd]
-        return np.array(u[W:])
+    def _blocks(sys_):
+        """(L, g) by renewal_chunks' rule: L = qB lags a block, B = min H,
+        q = max(1, min(h1 // B, 8)) for h1 the lowest other height, and g =
+        2 + q (#towers above B), the roundings that bound a value's error."""
+        H = sys_.heights
+        B = int(H.min())
+        tall = H[H > B]
+        q = max(1, min(int(tall.min()) // B if len(tall) else 8, 8))
+        return q * B, 2 + q * len(tall)
+
+    @staticmethod
+    def _growth(g, unit, j):
+        """(1 + gamma_g)^j - 1 <= j gamma_g / (1 - j gamma_g), gamma_g =
+        g unit / (1 - g unit): the relative error after j rounds of at most
+        g roundings each, all terms non-negative (Higham, ch. 3)."""
+        gamma = g * unit / (1 - g * unit)
+        return j * gamma / (1 - j * gamma)
+
+    @staticmethod
+    def _exact_u(sys_, n):
+        """u(0 .. n - 1) of the float landing row r, exactly: u(t) = U[t] /
+        2^(E t) for integers U[t] = sum_d R_d U[t - H_d] 2^(E (H_d - 1)),
+        R_d = r_d 2^E."""
+        ratios = [x.as_integer_ratio() for x in sys_.landing.tolist()]
+        E = max(den.bit_length() - 1 for _, den in ratios)
+        R = [num << E - den.bit_length() + 1 for num, den in ratios]
+        H = sys_.heights.tolist()
+        U = [1]
+        for t in range(1, n):
+            U.append(sum(rd * U[t - hd] << E * (hd - 1) for rd, hd in zip(R, H) if hd <= t))
+        return U, E
+
+    @staticmethod
+    def _longdouble_u(sys_, n):
+        """u(0 .. n - 1) in long double, in blocks of min H lags: each value
+        is the tower-order sum of K products, so it is within gamma'_K of the
+        exact sum of the values before it, and lag t hangs on t // min H + 1
+        blocks."""
+        H, r = sys_.heights.tolist(), sys_.landing.astype(np.longdouble)
+        W, B = max(H), min(H)
+        u = np.zeros(W + n, dtype=np.longdouble)  # u[W + t] = u(t)
+        u[W] = 1.0
+        for t in range(W, W + n, B):
+            e = min(t + B, W + n)
+            for rd, hd in zip(r, H):
+                u[t:e] += rd * u[t - hd : e - hd]
+        return u[W:]
 
     @staticmethod
     def _streamed_u(sys_, n):
@@ -360,28 +392,30 @@ class TestMixing:
     def _assert_beta_exact(cls, sys_, lags):
         lags = sorted(lags)
         got = mixing_profile(sys_, lags).beta
-        want = cls._beta_exact(sys_, cls._u_reference(sys_, lags[-1]), lags)
+        want = cls._beta_exact(sys_, cls._streamed_u(sys_, lags[-1]), lags)
         for m, g, w in zip(lags, got, want):
             assert abs(Fraction(g) - w) <= Fraction(1e-14) * w, m
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(1, 8), st.floats(0.05, 1.0)), min_size=1, max_size=3),
-        st.lists(st.tuples(st.integers(20, 300), st.floats(0.05, 1.0)), min_size=1, max_size=3),
-        st.randoms(use_true_random=False),
-    )
-    @example([(3, 0.2)], [(20, 0.5), (300, 0.3)], None)  # short tower last
-    @example([(1, 0.2), (8, 0.1)], [(20, 0.5), (257, 0.3)], None)  # 1 short, 8 long
-    def test_stream_equals_tower_order_reference(self, short, tall, rnd):
-        towers = tall + short
-        if rnd is not None:
-            rnd.shuffle(towers)
+    @given(st.lists(st.tuples(st.integers(1, 300), st.floats(0.05, 1.0)), min_size=1, max_size=4))
+    @example([(5, 0.3), (5, 0.2), (40, 0.5)])  # tied shortest towers
+    @example([(20, 0.5), (33, 0.3), (300, 0.2)])  # h1 < 2B: one row a block
+    @example([(3, 0.6), (100, 0.3), (257, 0.1)])  # h1 // B > 8: eight rows a block
+    @example([(7, 1.0)])  # a single tower
+    def test_stream_is_within_the_exact_recursion_bound(self, towers):
+        # renewal_chunks' bound: u(t) within a factor (1 +- gamma_g)^(t // L + 1)
+        # of exact, checked in integers at every lag of the first two chunks
+        # and past the second boundary, so at every block and chunk edge there
         total = sum(w for _, w in towers)
         sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
-        # the first two chunks and past the second boundary cover every
-        # outer-block, sub-block and chunk boundary
-        n = 2 * max(int(sys_.heights.max()), 1024) + 2
-        assert np.array_equal(self._streamed_u(sys_, n), self._u_reference(sys_, n))
+        n = 2 * len(next(sys_.renewal_chunks())) + 2
+        got = self._streamed_u(sys_, n).tolist()
+        U, E = self._exact_u(sys_, n)
+        L, g = self._blocks(sys_)
+        for t in range(n):
+            p, s_ = got[t].as_integer_ratio()  # |p / s_ - U[t] / 2^(E t)| <= b U[t] / 2^(E t)
+            b = self._growth(g, Fraction(1, 1 << 53), t // L + 1)
+            assert abs((p << E * t) - U[t] * s_) * b.denominator <= b.numerator * U[t] * s_, t
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -390,18 +424,27 @@ class TestMixing:
     )
     @example([(3, 0.2), (20, 0.5), (300, 0.3)], [0, 1, 299, 300, 301, 1023, 1024, 1025, 2049])
     @example([(1, 0.9), (7, 0.1)], [0, 1, 2, 5, 1024, 1025])  # a level with half the mass
+    # block (L = 18) and chunk (C = 1026) edges
+    @example([(3, 0.2), (20, 0.5), (300, 0.3)], [17, 18, 19, 36, 1025, 1026, 1027, 2051, 2052, 2053])
     def test_beta_equals_exact_tv_assembly(self, towers, lags):
         total = sum(w for _, w in towers)
         sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
         self._assert_beta_exact(sys_, set(lags) | {1})
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
-    def test_desk_stream_is_the_tower_order_reference_bitwise(self, c, beta, K):
-        # (0.1, 1, 8) has three short towers, and they are not a suffix
+    def test_desk_stream_is_within_the_longdouble_bound(self, c, beta, K):
+        # the stream and a long-double recursion are each within their bound
+        # of the exact u, so |u - u_ld| <= (b + b_ld) u <= (b + b_ld) u_ld / (1 - b_ld)
         s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
         chain = tower_chain_system(s)
         n = mixing_probe(chain, s).details["m_lags"][-1] + 1
-        assert np.array_equal(self._streamed_u(chain, n), self._u_reference(chain, n))
+        got, ref = self._streamed_u(chain, n), self._longdouble_u(chain, n)
+        t = np.arange(n)
+        L, g = self._blocks(chain)
+        b = self._growth(g, 2.0**-53, t // L + 1)
+        b_ld = self._growth(len(chain.heights), np.finfo(np.longdouble).eps / 2,
+                            t // int(chain.heights.min()) + 1)
+        assert np.all(np.abs(got - ref) <= (b + b_ld) / (1 - b_ld) * ref)
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
     def test_desk_beta_equals_exact_tv_assembly(self, c, beta, K):
@@ -409,7 +452,7 @@ class TestMixing:
         s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
         chain = tower_chain_system(s)
         m_lags = mixing_probe(chain, s).details["m_lags"]
-        C = max(int(chain.heights.max()), 1024)
+        C = len(next(chain.renewal_chunks()))
         edges = [k * C + d for k in range(1, m_lags[-1] // C + 1) for d in (-1, 0, 1)]
         rng = np.random.default_rng(K)
         lags = {*m_lags, *(m - 1 for m in m_lags), *edges, *rng.integers(1, m_lags[-1], 20).tolist()}
@@ -495,8 +538,9 @@ class TestMixing:
     def test_two_streams_on_one_system_are_independent(self, sys_):
         # each generator advances its own u and |u - 1/mu|: streams advanced
         # in turn give what a lone stream gives, chunk for chunk
+        C = len(next(sys_.renewal_chunks()))
+
         def values(m1, beta):
-            C = max(int(sys_.heights.max()), 1024)
             return m1, [beta(m) for m in (m1 - C, m1 - C + 1, m1 - C // 2, m1 - 1, m1)]
 
         alone = [values(*chunk) for chunk in itertools.islice(probes._beta_chunks(sys_), 3)]
@@ -504,8 +548,29 @@ class TestMixing:
         for want in alone:
             for stream in (a, b):
                 assert values(*next(stream)) == want
-        lags = [0, 1, 5, 1023, 1024, 2 * max(int(sys_.heights.max()), 1024) + 7]
+        lags = [0, 1, 5, 1023, 1024, 2 * C + 7]
         assert mixing_profile(sys_, lags) == mixing_profile(sys_, lags)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3000), st.floats(0.05, 1.0)), min_size=1, max_size=4))
+    @example([(33, 0.8), (256, 0.1), (4097, 0.1)])
+    def test_chunk_is_the_first_block_multiple_past_max_h_and_1024(self, towers):
+        # so the scan's last chunk runs past its last lag by less than L more
+        # than with chunks of max(max H, 1024)
+        total = sum(w for _, w in towers)
+        self._assert_chunk_length(build_tower_system([TowerSpec(h, w / total) for h, w in towers]))
+
+    @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.25, 0.5, 6), (0.1, 1.0, 8)])
+    def test_desk_chunk_is_the_first_block_multiple_past_max_h_and_1024(self, c, beta, K):
+        self._assert_chunk_length(tower_chain_system(derive_schedule_thm3(
+            RateSequence.power_law(c, beta), K)))
+
+    @classmethod
+    def _assert_chunk_length(cls, sys_):
+        C = len(next(sys_.renewal_chunks()))
+        L, _ = cls._blocks(sys_)
+        floor = max(int(sys_.heights.max()), 1024)
+        assert C % L == 0 and floor <= C < floor + L
 
     @pytest.mark.parametrize("K, lags, betas", [
         (3, [63457, 79887, 96347],
