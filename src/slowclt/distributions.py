@@ -14,6 +14,7 @@ convolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,17 +111,40 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def convolution_powers(probs, ns, conv=None) -> dict[int, np.ndarray]:
+    """{n: the n-fold convolution power of probs} for each n >= 0 of ns, by
+    repeated squaring (Knuth, TAOCP vol. 2, 4.6.3): n is the product of the
+    2^i-fold powers at its set bits, in increasing i, whatever the other n,
+    so floor(log2 max n) squarings and popcount(n) - 1 products per n.
+
+    conv defaults to np.convolve; the grid passes one that switches to FFT.
+    With np.convolve and w non-negative taps, each entry is within gamma_S =
+    S u / (1 - S u) of exact, relative, S = (w - 1) n floor(log2 n) + n - 1
+    (Higham 2002, 3.1), barring underflow: a term passes each product once,
+    through one multiplication and at most L - 1 additions in any order,
+    L <= (w - 1) f + 1 the length of the shorter, f-fold operand, and a tap
+    is in the shorter operand at most floor(log2 n) times.
+    """
+    conv = conv or np.convolve
+    pow2 = [np.asarray(probs, dtype=float)]
+    while 2 ** len(pow2) <= max(ns):
+        pow2.append(conv(pow2[-1], pow2[-1]))
+    out = {}
+    for n in set(ns):
+        bits = [p for i, p in enumerate(pow2) if n >> i & 1]
+        out[n] = functools.reduce(conv, bits) if bits else np.ones(1)
+    return out
+
+
 def symmetric_step_sum(a: float, m: int) -> LatticeDistribution:
-    """Exact m-fold convolution of the {-1,0,1} noise with P(+-1)=a/2."""
+    """The m-fold convolution of the {-1,0,1} noise with P(+-1)=a/2, from
+    O(log m) convolutions of convolution_powers, each entry within gamma_S
+    of exact, relative, S = 2 m floor(log2 m) + m - 1."""
     if not (0.0 < a <= 1.0):
         raise ValueError("a must lie in (0, 1]")
     if m < 0:
         raise ValueError("m must be >= 0")
-    probs = np.array([1.0])
-    kernel = np.array([a / 2.0, 1.0 - a, a / 2.0])
-    for _ in range(m):
-        probs = np.convolve(probs, kernel)
-    return LatticeDistribution(offset=-m, probs=probs)
+    return LatticeDistribution(-m, convolution_powers([a / 2.0, 1.0 - a, a / 2.0], [m])[m])
 
 
 def _active(model) -> tuple:
@@ -341,36 +365,20 @@ def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _interval_probability_grid(cs: Sequence[float], u: float, step: float) -> IntervalProbability:
-    # Group equal coefficients and use convolution-by-squaring.  Each factor
-    # is an atom vector: masses[i] sits at start + i*step (cell midpoints),
-    # and convolving two vectors adds their start positions.
+    # Group equal coefficients and take each group's power with
+    # convolution_powers.  Each factor is an atom vector: masses[i] sits at
+    # start + i*step (cell midpoints), and convolving two adds their starts.
     groups: dict[float, int] = {}
     for c in cs:
         groups[c] = groups.get(c, 0) + 1
-    total = None  # (masses, start)
+    powers, start = [], 0.0
     for c, count in sorted(groups.items()):
         ncells = int(math.ceil(2.0 * c / step)) + 2
         left = -0.5 * ncells * step
         base = _cell_masses_scaled_noise(c, left, step, ncells)
-        bstart = left + 0.5 * step
-        power, pstart = None, 0.0
-        cur, cstart = base, bstart
-        k = count
-        while k:
-            if k & 1:
-                if power is None:
-                    power, pstart = cur, cstart
-                else:
-                    power, pstart = _conv(power, cur), pstart + cstart
-            k >>= 1
-            if k:
-                cur, cstart = _conv(cur, cur), 2.0 * cstart
-        if total is None:
-            total = (power, pstart)
-        else:
-            total = (_conv(total[0], power), total[1] + pstart)
-    masses, start = total
-    masses = np.maximum(masses, 0.0)
+        powers.append(convolution_powers(base, [count], _conv)[count])
+        start += count * (left + 0.5 * step)
+    masses = np.maximum(functools.reduce(_conv, powers), 0.0)
     pos = start + step * np.arange(len(masses))
     inside = (pos >= -u) & (pos <= u)
     value = float(masses[inside].sum() / masses.sum())

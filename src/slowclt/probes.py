@@ -17,6 +17,7 @@ import numpy as np
 from .construction import ProcessModel, RateSequence, Schedule, intersection_lower_bound
 from .distributions import (
     LatticeDistribution,
+    convolution_powers,
     kolmogorov_distance,
     lattice_sum_distribution,
     root_n_interval_probability,
@@ -242,9 +243,7 @@ def _mds_tower_level(model, j, filter_coeff) -> float:
 def _noise_support(model):
     if model.noise.kind == "lattice":
         a = model.noise.a
-        vals = [-1.0, 0.0, 1.0]
-        probs = [a / 2.0, 1.0 - a, a / 2.0]
-        return [(v, p) for v, p in zip(vals, probs) if p > 0.0]
+        return [(v, p) for v, p in zip((-1.0, 0.0, 1.0), (a / 2.0, 1.0 - a, a / 2.0)) if p > 0.0]
     # two-interval noise, conditioned by sign: each sign carries its
     # conditional mean +-3/4, and E g = 0.
     return [(-0.75, 0.5), (0.75, 0.5)]
@@ -263,9 +262,7 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
         others = [i for i in range(window) if i != j]
         for gs in itertools.product(support, repeat=len(others)):
             key_prob = pprob * math.prod(p for _, p in gs)
-            gvals = {}
-            for i, (v, _) in zip(others, gs):
-                gvals[i] = v
+            gvals = {i: v for i, (v, _) in zip(others, gs)}
             key = (path, tuple(gvals[i] for i in others))
             num, den = bins.setdefault(key, [0.0, 0.0])
             for gj, pj in support:
@@ -276,11 +273,7 @@ def _mds_exact(model, window, j, filter_coeff) -> float:
                 num += key_prob * pj * f_j
                 den += key_prob * pj
             bins[key] = [num, den]
-    worst = 0.0
-    for num, den in bins.values():
-        if den > 0.0:
-            worst = max(worst, abs(num / den))
-    return worst
+    return max((abs(num / den) for num, den in bins.values() if den > 0.0), default=0.0)
 
 
 def conditional_variance_floor(model: ProcessModel) -> ProbeResult:
@@ -493,9 +486,13 @@ def gnedenko_baseline(step_law: LatticeDistribution, b: float, h: float, n: int)
 
 
 def gnedenko_baselines(step_law: LatticeDistribution, b: float, cases) -> list[float]:
-    """gnedenko_baseline(step_law, b, h, n) for each (n, h) of cases, from one
-    convolution chain up to the largest n.  The sup runs over every lattice
-    point b n + N h inside the support range, with one math.exp per point."""
+    """gnedenko_baseline(step_law, b, h, n) for each (n, h) of cases.  The
+    n-fold laws take O(log max n) convolutions of convolution_powers, each
+    within its relative rounding bound of exact and the same to the bit
+    whatever the other cases.  The sup runs over every lattice point
+    b n + N h inside the support range, with one math.exp per point."""
+    if not cases:
+        raise ValueError("need at least one (n, h) case")
     var = step_law.variance()
     if var <= 0:
         raise LatticeMismatch("step law must have positive variance")
@@ -507,12 +504,7 @@ def gnedenko_baselines(step_law: LatticeDistribution, b: float, cases) -> list[f
         if np.max(np.abs(ratios - np.round(ratios))) > 1e-9:
             raise LatticeMismatch(f"support not contained in {{{b} + N*{h}}}")
     m, sigma = step_law.mean(), math.sqrt(var)
-    need = {n for n, _ in cases}  # the n-fold laws to keep
-    acc, laws = np.array([1.0]), {}
-    for k in range(1, max(need) + 1):
-        acc = np.convolve(acc, step_law.probs)
-        if k in need:
-            laws[k] = acc
+    laws = convolution_powers(step_law.probs, [n for n, _ in cases])
     out = []
     for n, h in cases:
         acc, off = laws[n], n * step_law.offset

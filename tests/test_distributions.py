@@ -35,6 +35,7 @@ from slowclt.distributions import (
     ROOT_N_BITS,
     _interval_probability_grid,
     _tail_coefficients,
+    convolution_powers,
     lattice_sum_by_path_enumeration,
     root_n_interval_probability,
     root_n_lower,
@@ -103,6 +104,51 @@ class TestSymmetricStepSum:
         d = symmetric_step_sum(0.4, 9)
         assert d.variance() == pytest.approx(9 * 0.4, abs=1e-12)
         assert d.mean() == pytest.approx(0.0, abs=1e-15)
+
+
+def exact_power(probs, n):
+    """The n-fold convolution power of the float taps probs, as Fractions:
+    with probs = R / 2^E for integers R, it is the coefficients of
+    (sum_j R_j X^j)^n over 2^(E n), read off one exact integer power at
+    X = 2^B, each coefficient <= (sum R)^n < 2^B in its own B-bit field."""
+    E = max(Fraction(x).denominator.bit_length() - 1 for x in probs)
+    R = [int(Fraction(x) * 2**E) for x in probs]
+    B = n * max(sum(R), 1).bit_length()
+    X = sum(r << B * j for j, r in enumerate(R)) ** n
+    return [Fraction(X >> B * j & (1 << B) - 1, 1 << E * n) for j in range((len(R) - 1) * n + 1)]
+
+
+def rounding_bound(w, n):
+    """gamma_S for S = (w - 1) n floor(log2 n) + n - 1, the relative bound
+    convolution_powers states for an n-fold power of w non-negative taps."""
+    S = (w - 1) * n * (n.bit_length() - 1) + n - 1
+    return Fraction(S, (1 << 53) - S)
+
+
+class TestConvolutionPowers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.just(0.0) | st.floats(1 / 64, 1.0), min_size=1, max_size=6),
+        st.integers(1, 70) | st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+        st.integers(0, 70),
+    )
+    @example([0.5, 0.0, 0.5], 64, 63)  # the coin, on every other point
+    @example([0.0, 0.3, 0.0, 0.0, 0.7, 0.0], 70, 1)
+    @example([1.0], 37, 0)  # one tap: n - 1 products of 1.0
+    @example([1 / 64] * 6, 128, 127)  # the smallest taps drawn, at 2^7 folds
+    def test_within_the_stated_bound_of_the_exact_power(self, probs, n, other):
+        got = convolution_powers(probs, [n, other])
+        assert set(got) == {n, other}
+        # each n comes from the 2^i-fold powers alone, whatever else is asked
+        assert np.array_equal(got[n], convolution_powers(probs, [n])[n])
+        exact = exact_power(probs, n)
+        assert len(got[n]) == len(exact)
+        gamma = rounding_bound(len(probs), n)
+        for g, e in zip(got[n].tolist(), exact):
+            assert abs(Fraction(g) - e) <= gamma * e
+
+    def test_zero_fold_is_the_unit(self):
+        assert convolution_powers([0.2, 0.8], [0])[0].tolist() == [1.0]
 
 
 def tiny_lattice_model(a=0.5):

@@ -40,6 +40,7 @@ from slowclt.construction import (
 )
 from slowclt import probes
 from slowclt.probes import ProbeResult, _mds_exact, _mixing_lags, variance_probe
+from test_distributions import exact_power, rounding_bound
 
 DESK_THM3 = RateSequence.power_law(0.25, 0.5)
 
@@ -630,14 +631,11 @@ class TestGnedenkoBaseline:
             assert gnedenko_baseline(self.COIN, b=-1.0, h=1.0, n=n) >= 0.1
 
     @staticmethod
-    def per_point_reference(step_law, b, h, n):
-        # the n-fold chain and per-N loop gnedenko_baseline used before its
-        # sup became array operations
+    def per_point_reference(step_law, b, h, n, acc):
+        # the per-N loop gnedenko_baseline used before its sup became array
+        # operations, on the given n-fold law acc
         m, sigma = step_law.mean(), math.sqrt(step_law.variance())
-        acc, off = np.array([1.0]), 0
-        for _ in range(n):
-            acc = np.convolve(acc, step_law.probs)
-            off += step_law.offset
+        off = n * step_law.offset
         scale = sigma * math.sqrt(n)
         support = off + np.arange(len(acc))
         worst = 0.0
@@ -652,12 +650,29 @@ class TestGnedenkoBaseline:
             worst = max(worst, abs(scale / h * p - phi))
         return worst
 
+    def assert_within_rounding_bound(self, step_law, b, h, n):
+        """gnedenko_baseline against per_point_reference on q, the exact
+        n-fold law P rounded once.  The baseline's law p is within gamma_S P
+        of P (convolution_powers, rounding_bound) and q within u P, u =
+        2^-53.  Both sides take the same c = fl(sigma sqrt(n) / h) and
+        phi_N, so fl(c p_N) and fl(c q_N) differ by at most c P_N (gamma_S +
+        4u), and each difference with phi_N adds one rounding of at most u
+        times its size, at most got or ref.  So |got - ref| <= c max_N P_N
+        (gamma_S + 4u) + 2u max(got, ref) / (1 - u)."""
+        exact = exact_power(step_law.probs.tolist(), n)
+        got = gnedenko_baseline(step_law, b=b, h=h, n=n)
+        ref = self.per_point_reference(step_law, b, h, n, np.array([float(x) for x in exact]))
+        u = Fraction(1, 1 << 53)
+        c = Fraction(math.sqrt(step_law.variance()) * math.sqrt(n) / h)
+        bound = (c * max(exact) * (rounding_bound(len(step_law.probs), n) + 4 * u)
+                 + 2 * u * Fraction(max(got, ref)) / (1 - u))
+        assert abs(Fraction(got) - Fraction(ref)) <= bound
+
     CASES = [(100, 2.0), (200, 2.0), (400, 2.0), (400, 1.0)]
 
     @pytest.mark.parametrize("n, h", CASES)
     def test_equals_per_point_loop(self, n, h):
-        assert gnedenko_baseline(self.COIN, b=-1.0, h=h, n=n) == self.per_point_reference(
-            self.COIN, -1.0, h, n)
+        self.assert_within_rounding_bound(self.COIN, -1.0, h, n)
 
     def test_one_chain_serves_every_case(self):
         want = [gnedenko_baseline(self.COIN, b=-1.0, h=h, n=n) for n, h in self.CASES]
@@ -667,8 +682,18 @@ class TestGnedenkoBaseline:
         # an asymmetric law on {-2, 1, 4}: mean, offset and lattice all nonzero
         law = LatticeDistribution(-2, np.array([0.3, 0, 0, 0.5, 0, 0, 0.2]))
         for n in (1, 7, 30):
-            assert gnedenko_baseline(law, b=-2.0, h=3.0, n=n) == self.per_point_reference(
-                law, -2.0, 3.0, n)
+            self.assert_within_rounding_bound(law, -2.0, 3.0, n)
+
+    def test_certificate_cases_take_log_many_convolutions(self, monkeypatch):
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
+        gnedenko_baselines(self.COIN, -1.0, self.CASES)
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(400)) + 2
+
+    def test_no_cases_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            gnedenko_baselines(self.COIN, -1.0, [])
 
     def test_wrong_lattice_rejected(self):
         with pytest.raises(LatticeMismatch):
