@@ -180,14 +180,14 @@ def lattice_sum_distributions(model, windows) -> list[LatticeDistribution]:
     """Exact laws of the n-step partial sums of a lattice model at each window
     n: one pass of occupancy_distributions and one noise chain serve them
     all, each law the same to the bit as lattice_sum_distribution at its n.
-    O(K N^2) time, N the largest window."""
+    O(#skeletons K^2 + K N + N^2) time, N the largest window."""
     return _mixtures(model.noise.a, occupancy_distributions(model.system, _active(model), windows))
 
 
 def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
     """Exact law of the n-step partial sum of a lattice model: the mixture over
     the occupancy count m (occupancy_distribution at n) of the m-fold noise
-    law.  O(K n^2) time; memory is the occupancy ring's."""
+    law.  O(#skeletons K^2 + K n + n^2) time and O(K n) memory."""
     return _mixtures(model.noise.a, [occupancy_distribution(model.system, _active(model), n)])[0]
 
 

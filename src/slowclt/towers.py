@@ -24,6 +24,7 @@ from .errors import MassSumError
 MASS_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
 TRAJECTORY_BLOCK = 1 << 14  # reps per substream of sample_trajectory_batch
+PASS_BATCH = 1 << 15  # the most (skeleton, start tower, final tower) triples in a batch
 
 
 @dataclass(frozen=True)
@@ -199,52 +200,90 @@ def _window_counts(sys: TowerSystem, slab: np.ndarray, n: int) -> np.ndarray:
     of tower d}, 0 for towers lower than n.  That count is
     min(n, max(0, j + n - s_d)), so for c < n the starts counting at most c
     are the j <= s_d - n + c."""
-    starts = np.maximum(sys.heights - n + 1, 0)
-    upto = np.clip(slab[:, None] - n + 1 + np.arange(n + 1), 0, starts[:, None])
-    upto[:, n] = starts
-    return np.diff(upto, axis=1, prepend=0)
+    starts = np.maximum(sys.heights - n + 1, 0)[:, None]
+    upto = np.minimum(np.maximum(slab[:, None] + np.arange(-n, 2), 0), starts)  # c = -1 .. n
+    upto[:, 0], upto[:, -1:] = 0, starts
+    return upto[:, 1:] - upto[:, :-1]
 
 
-BLOCK_ROWS = 64  # the most landing rows made at once: see occupancy_distributions
+def _skeletons(sys: TowerSystem, slab: np.ndarray, n: int) -> tuple:
+    """(t0, c0, G) of the skeletons with t0 <= n - 2, sorted: runs of complete
+    passes after a landing, t0 steps long with c0 active, and the landing
+    probability G(t0, c0) = sum_e r_e G(t0 - h_e, c0 - full_e), G(0, 0) = 1,
+    of all their orders, by number of passes: in tower order, then pass order."""
+    short = sys.heights <= n - 2
+    h, f, r = sys.heights[short], (sys.heights - slab)[short], sys.landing[short]
+    t, c, g = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1)
+    codes, values = [t], [g]  # t n + c of each pass count's keys, and their G
+    while len(h) and len(t):
+        t, c = np.add.outer(h, t).ravel(), np.add.outer(f, c).ravel()
+        keep = t <= n - 2
+        code, at = np.unique(t[keep] * n + c[keep], return_inverse=True)
+        t, c = np.divmod(code, n)
+        g = np.bincount(at, weights=np.multiply.outer(r, g).ravel()[keep])
+        codes.append(code)
+        values.append(g)
+    code, at = np.unique(np.concatenate(codes), return_inverse=True)
+    return *np.divmod(code, n), np.bincount(at, weights=np.concatenate(values))
 
 
-def _tail_segments(sys: TowerSystem, slab: np.ndarray, n: int) -> list[tuple]:
-    """Window n's starts that leave a top, as (tower, first row, end row, tail
-    at the first row, active) tuples: start j of tower d reads landing row
-    n - h_d + j in [1, n), shifted by its tail, the active levels from j to
-    the top.  The tail is constant on the starts in the slab and falls by one
-    per row on the active run above it."""
-    segs = []
-    for d, (h, s) in enumerate(zip(sys.heights.tolist(), slab.tolist())):
-        first = max(h - n + 1, 0)  # the start of row 1, or the base
-        a = max(s, first)
-        if first < a:
-            segs.append((d, n - h + first, n - h + a, h - a, False))
-        if a < h:
-            segs.append((d, n - h + a, n, h - a, True))
-    return segs
+def _alike(a: np.ndarray, h: np.ndarray, weight: np.ndarray, cut: np.ndarray) -> tuple:
+    """(a, h, weight) tables, a column per window cut = n - 1 and a row per
+    tower some window tells apart, clipped to cut, then one for those it
+    cannot, a (full or slab, <= h) >= cut; and the rows each window needs."""
+    merged = a >= cut[:, None]
+    keep = np.flatnonzero(a < cut.max())
+    tab = np.empty((3, len(keep) + 1, len(cut)))
+    tab[:2, -1] = cut
+    tab[:2, :-1] = np.minimum(np.stack([a[keep], h[keep]])[:, :, None], cut)
+    tab[2, :-1] = weight[keep, None] * ~merged[:, keep].T
+    tab[2, -1] = np.where(merged, weight, 0.0).sum(axis=1)
+    return (*tab[:2].astype(np.int64), tab[2]), len(a) + 1 - merged.sum(axis=1)
+
+
+def _add_passes(acc, cover, edge, base, x, c0, g, full, hs, w, s, hd, r) -> None:
+    """Add the starts that leave a top: point masses to acc[base + v], run
+    differences to acc[base + edge + v], and +-1 at the ends of each run of
+    positive mass to cover.  Per skeleton, x = n - t0; full, hs, w are
+    (S, 1, skeletons) and slab s, hd, r are (1, D, skeletons).  Start tau
+    below the top of d' ends with x - tau steps in d, tau in [lo, top) =
+    [max(1, x - h_d), min(x, h_d' + 1)), and counts min(tau, full_d') + c0 +
+    max(0, x - tau - s_d): x - s_d + c0 on [lo, P), full_d' + c0 on
+    [Q, top), a run of slope +-1 between, P and Q the min and max of full_d'
+    and x - s_d clipped to [lo, top].  cumsum and np.add.at add in order,
+    whatever the shape; empty pieces weigh 0 and index below base + edge + 4 n."""
+    y, at, lo = x - s, base + c0, np.maximum(x - hd, 1)
+    top = np.maximum(np.minimum(x, hs + 1), lo)
+    P = np.minimum(np.maximum(np.minimum(full, y), lo), top)
+    Q = np.minimum(np.maximum(np.maximum(full, y), lo), top)
+    start = at + edge + np.minimum(P, full) + np.maximum(y + 1 - Q, 0)
+    end, mass = start + (Q - P), g * w * r * (Q > P)
+    on = (mass > 0).astype(np.int64)  # a tower merged at this window weighs 0
+    for out, v, m in [(acc, at + np.maximum(y, 0), np.cumsum(w * (P - lo), axis=0)[-1:] * (g * r)),
+                      (acc, at + full, np.cumsum(r * (top - Q), axis=1)[:, -1:] * (g * w)),
+                      (acc, start, mass), (acc, end, -mass), (cover, start, on), (cover, end, -on)]:
+        np.add.at(out, v.ravel(), m.ravel())  # np.add.at is fast on flat arrays
 
 
 def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[OccupancyDistribution]:
     """Exact law of m = #{0 <= i < n : state_i active}, stationary start, at
-    each window n, from one pass over the landing rows.
+    each window n, tower l active above its lowest slab[l] levels.
 
-    Tower l's active levels are those above its lowest slab[l].  A window is
-    cut at the first top it leaves: the part before is counted from the start
-    level and the slab; the r steps after, from a base drawn by the one
-    landing row, have the count law land[r] whatever the start.  Windows that
-    leave no top are counted in closed form per tower.
+    Starts that leave no top are counted in closed form (_window_counts).
+    Any other climbs to a top, runs a skeleton of complete passes through
+    towers with h <= n - 2 (_skeletons) and ends in a partial pass: per
+    skeleton, start and final tower its count has at most three linear
+    pieces (_add_passes), once each window has merged the towers it cannot
+    tell apart (_alike).  Windows with at most min(PASS_BATCH, 8 n) triples
+    share a batch, any other takes batches of that size: O(#skeletons
+    K_eff^2 + K N) time, N the largest window, and O(K N) memory.
 
-    land[r] sums, in tower order, a point for each tower of height >= r and
-    land[r - h_d] shifted by tower d's active count for each shorter one.
-    The rows are made in row order, in blocks of B = min(min H, BLOCK_ROWS)
-    that read only earlier blocks, and each block is added into every
-    window's law as soon as it is made: a summed row segment where a start's
-    shift is constant, a skewed (diagonal) sum along an active run.  A ring
-    of max{h_d < N - 1} + B rows, rounded up to a multiple of B, of
-    N + 1 + B floats holds them, N the largest window; O(K N^2) time.  No
-    row depends on the windows, so no window's law depends on the others.
-    """
+    Rounding: the DP and the point masses add non-negative terms, each within
+    a relative gamma_m of exact, m its roundings (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3).  The runs' difference array and
+    cumsum add at most gamma_M times twice their mass, absolute, M the most
+    terms in a bin; bins that no run covers (an exact count) get 0 from them,
+    and none gets less.  No window's batches depend on the others, nor its law."""
     windows = [int(n) for n in windows]
     if not windows or min(windows) < 1:
         raise ValueError("need at least one window, each >= 1")
@@ -253,72 +292,32 @@ def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[OccupancyDi
             or np.any(slab % 1 != 0)):
         raise ValueError("slab needs one integer level count in [0, height] per tower")
     slab = slab.astype(np.int64)
-    N = max(windows)
-    heights, landing, w = sys.heights.tolist(), sys.landing.tolist(), sys.level_masses
-    full = (sys.heights - slab).tolist()  # active levels of each tower
-    # head[d, r] = active levels among the first r of tower d, r <= min(h_d, N - 1)
-    head = np.maximum(np.minimum(np.arange(N), sys.heights[:, None]) - slab[:, None], 0)
-    B = min(min(heights), BLOCK_ROWS)
-    R = -(-max([h for h in heights if h < N - 1], default=0) // B) * B + B
-    W = N + 1 + B
-    # slot r % R holds row r; the columns past N and the B zeros at each end
-    # of flat stay 0, so a skewed view of a block reads zeros past its rows
-    flat = np.zeros(R * W + 2 * B)
-    ring, tmp = flat[B : B + R * W].reshape(R, W), np.empty((B, N))
-    jobs = []  # each window's law so far, and the row segments of its starts
-    for n in windows:
-        occ = (w[:, None] * _window_counts(sys, slab, n)).sum(axis=0)
-        jobs.append((occ, _tail_segments(sys, slab, n)))
-    for r0 in range(0, N, B):
-        r1 = min(r0 + B, N)
-        rows = ring[r0 % R : r0 % R + r1 - r0]
-        # a row past h_0 starts with tower 0's pass, written rather than added;
-        # the row its slot held before wrote only columns < r1 - R <= r1 - h_0,
-        # so none of them lies past the pass
-        a = min(max(heights[0] + 1 - r0, 0), r1 - r0)
-        rows[:a, :r1] = 0.0
-        rows[a:, : full[0]] = 0.0
-        for d, (p, h, c) in enumerate(zip(landing, heights, full)):
-            if r0 <= h:  # land inside tower d
-                t1 = min(r1, h + 1)
-                rows[np.arange(t1 - r0), head[d, r0:t1]] += p
-            a = max(r0, h + 1)
-            while a < r1:  # a full pass through tower d, then a fresh landing
-                b = min(r1, a + R - (a - h) % R)  # the rows read stop at the ring's end
-                src = ring[(a - h) % R : (a - h) % R + b - a, : r1 - h]
-                dst = rows[a - r0 : b - r0, c : c + r1 - h]
-                if d == 0:
-                    np.multiply(src, p, out=dst)
-                else:
-                    dst += np.multiply(src, p, out=tmp[: b - a, : r1 - h])
-                a = b
-        if r0 == 0:
-            rows[0, 0] = 1.0
-        sums = {}  # row-segment sums of this block, shared by towers and windows
-        for occ, segs in jobs:
-            for d, ra, rb, t, diag in segs:
-                q0, q1 = max(ra, r0), min(rb, r1)
-                if q0 >= q1:
-                    continue
-                if (q0, q1, diag) not in sums:
-                    if diag:  # row q0 + i lands at t - i + c: sum along diagonals
-                        at = B + q0 % R * W - (q1 - q0 - 1)
-                        view = flat[at : at + (q1 - q0) * (W + 1)].reshape(q1 - q0, W + 1)
-                    else:
-                        view = ring[q0 % R : q0 % R + q1 - q0]
-                    sums[q0, q1, diag] = view[:, :q1].sum(axis=0)
-                if diag:  # the diagonal sum starts where the piece's last row lands
-                    t -= q1 - 1 - ra
-                occ[t : t + q1] += w[d] * sums[q0, q1, diag]
-    return [OccupancyDistribution(window=n, probs=occ / occ.sum())
-            for n, (occ, _) in zip(windows, jobs)]
+    ns, N = np.array(windows), max(windows)
+    t0, c0, g = _skeletons(sys, slab, N)
+    kn = np.searchsorted(t0, ns - 2, side="right")  # window n's skeletons: t0 <= n - 2
+    starts, S = _alike(sys.heights - slab, sys.heights, sys.level_masses, ns - 1)
+    finals, D = _alike(slab, sys.heights, sys.landing, ns - 1)
+    whole, parts = [], []  # (window, first skeleton, end) in each batch
+    for i, (n, k, p) in enumerate(zip(windows, kn.tolist(), (S * D).tolist())):
+        step = max(min(PASS_BATCH, 8 * n) // p, 1)  # no more memory than the bins
+        whole.append((i, 0, k if k <= step else 0))
+        parts += [[(i, k0, min(k0 + step, k))] for k0 in range(0, k, step) if k > step]
+    E = 2 * (N + 2)  # a window's bins: point masses, then run differences
+    acc, cover = np.zeros((len(windows) + 2) * E), np.zeros((len(windows) + 2) * E, np.int64)
+    for batch in [whole] + parts:
+        wid = np.concatenate([np.full(k1 - k0, i) for i, k0, k1 in batch])
+        keys = np.concatenate([np.arange(k0, k1) for _, k0, k1 in batch])
+        _add_passes(acc, cover, N + 2, wid * E, ns[wid] - t0[keys], c0[keys], g[keys],
+                    *[v[:, None, wid] for v in starts], *[v[None, :, wid] for v in finals])
+    acc, cover = (v[: len(windows) * E].reshape(len(windows), 2, N + 2) for v in (acc, cover))
+    runs = np.where(np.cumsum(cover[:, 1], axis=1) > 0, np.cumsum(acc[:, 1], axis=1), 0.0)
+    occs = [(sys.level_masses[:, None] * _window_counts(sys, slab, n)).sum(axis=0)
+            + acc[i, 0, : n + 1] + np.maximum(runs[i, : n + 1], 0.0) for i, n in enumerate(windows)]
+    return [OccupancyDistribution(window=n, probs=occ / occ.sum()) for n, occ in zip(windows, occs)]
 
 
 def occupancy_distribution(sys: TowerSystem, slab, n: int) -> OccupancyDistribution:
-    """Exact law of m = #{0 <= i < n : state_i active}, stationary start:
-    occupancy_distributions at the one window n.  The landing rows stream in
-    row order, in blocks of B = min(min H, BLOCK_ROWS), through a ring of
-    about max{h_d < n - 1} + B rows of n + 1 + B floats; O(K n^2) time."""
+    """occupancy_distributions at the one window n."""
     return occupancy_distributions(sys, slab, [n])[0]
 
 

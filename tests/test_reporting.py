@@ -857,7 +857,7 @@ def _certify_thm1(tmp_path, K: int) -> list[tuple[str, float, int]]:
 
 def test_thm1_k5_certifies_under_1gb(tmp_path):
     # n_4 = 4096 on 5.5e8 states: every cost must follow the runs, not the
-    # states, and the landing rows stream through a ring of 640 rows
+    # states, and only the passes through the 527-level tower are counted
     for rc, seconds, maxrss_kib in _certify_thm1(tmp_path, 5):
         assert rc == "0" and seconds < 30.0 and maxrss_kib < 96 << 10
 
@@ -866,3 +866,11 @@ def test_thm1_k6_certifies_under_150mb(tmp_path):
     # n_5 = 16384 on 1.8e10 states: a whole landing table would be 1.07 GB
     for rc, seconds, maxrss_kib in _certify_thm1(tmp_path, 6):
         assert rc == "0" and seconds < 30.0 and maxrss_kib < 150 << 10
+
+
+def test_thm1_k7_certifies_under_200mb(tmp_path):
+    # n_6 = 65536 on 5.6e11 states: a ring of landing rows would take about
+    # 8.6 GB, where 312 skeletons of passes through the two towers shorter
+    # than n_6 hold the count
+    for rc, seconds, maxrss_kib in _certify_thm1(tmp_path, 7):
+        assert rc == "0" and seconds < 30.0 and maxrss_kib < 200 << 10

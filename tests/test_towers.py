@@ -195,19 +195,30 @@ class TestOccupancyDistribution:
 
 @st.composite
 def short_tower_families(draw):
-    # at least two towers of height 2 or 3, a third one short or taller than
-    # the window, and a window of 7 to 10 steps: blocks of min H <= 3 rows,
-    # and a ring of at most 6 rows, which wraps
+    # two towers of height 2 or 3, up to two taller than the window, and up
+    # to one of height 1 to 3, with a window of 7 to 10 steps: skeletons of
+    # three or more passes, and tall towers that the window cannot tell apart
     heights = [draw(st.integers(2, 3)) for _ in range(2)]
-    heights += draw(st.lists(st.integers(1, 3) | st.integers(10, 12), max_size=1))
+    heights += draw(st.lists(st.integers(10, 12), max_size=2))
+    heights += draw(st.lists(st.integers(1, 3), max_size=1))
     raw = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in heights]
     total = sum(raw)
     return [TowerSpec(h, w / total) for h, w in zip(heights, raw)], draw(st.integers(7, 10))
 
 
+@st.composite
+def wide_tower_families(draw):
+    # 8 to 12 towers of 1 to 30 levels, masses over six decades: more start
+    # or final towers than a numpy sum adds in order
+    heights = draw(st.lists(st.integers(1, 30), min_size=8, max_size=12))
+    raw = [draw(st.floats(min_value=1e-6, max_value=1.0)) for _ in heights]
+    total = sum(raw)
+    return [TowerSpec(h, w / total) for h, w in zip(heights, raw)]
+
+
 def thm1_desk_occupancy_args():
-    # thm1 c=0.5 beta=0.5 K=4: n_3 = 1024 past H_0 = 527, so the ring of
-    # 640 rows wraps, in blocks of 64
+    # thm1 c=0.5 beta=0.5 K=4: n_3 = 1024 past H_0 = 527, so the last
+    # window has two skeletons: no pass, and one pass through tower 0
     sched = derive_schedule("thm1", RateSequence.power_law(0.5, 0.5), 4)
     model = build_counterexample(sched)
     return model.system, model.slab, sched.n
@@ -240,6 +251,16 @@ class TestOccupancyProperties:
         for n, law in zip(windows, laws):
             assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
 
+    @settings(max_examples=30, deadline=None)
+    @given(wide_tower_families(), st.lists(st.integers(1, 40), min_size=2, max_size=4),
+           st.data())
+    def test_many_towers_share_a_pass_bit_for_bit(self, specs, windows, data):
+        sys_ = build_tower_system(specs)
+        slab = slabs(data, sys_)
+        laws = occupancy_distributions(sys_, slab, windows)
+        for n, law in zip(windows, laws):
+            assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
+
     def test_desk_windows_share_a_pass_bit_for_bit(self):
         sys_, slab, windows = thm1_desk_occupancy_args()
         laws = occupancy_distributions(sys_, slab, windows)
@@ -262,6 +283,7 @@ class TestOccupancyProperties:
         assert np.allclose(occ.probs, ref, atol=1e-10)
         assert occ.probs.sum() == pytest.approx(1.0)
         assert np.all(occ.probs >= 0.0)
+        assert np.all(occ.probs[ref == 0.0] == 0.0)  # a count no path reaches
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=3), st.integers(0, 10**4),
