@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .construction import build_counterexample, tower_chain_system
+from .construction import build_counterexample
 from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
 from . import probes as pr
 from .reporting import (
@@ -100,7 +100,7 @@ def _cmd_probe(args) -> int:
     elif args.name == "mds":
         res = pr.mds_conditional_mean_test(model, window=3)
     elif args.name == "mixing":
-        res = pr.mixing_probe(tower_chain_system(sched), sched)
+        res = pr.mixing_probe(model.system, sched)
     else:
         res = pr.variance_probe(model)
     _print_record(_probe_record(res))

@@ -433,18 +433,6 @@ def build_counterexample(sched: Schedule) -> ProcessModel:
     return model
 
 
-def tower_chain_system(sched: Schedule) -> TowerSystem:
-    """The level chain of the schedule's towers, one tower per index.
-
-    For the mixing variant this is the chain whose beta coefficients are
-    certified: the marked/unmarked split used to place the slabs A_k is a
-    fiber label, not part of the tower dynamics.
-    """
-    specs = [TowerSpec(H, p) for H, p in zip(sched.H, sched.p)]
-    specs.append(TowerSpec(sched.remainder_height, sched.remainder_mass))
-    return build_tower_system(specs)
-
-
 def intersection_lower_bound(sched: Schedule, k: int) -> float:
     """Exact mu of the set whose length-n_k window stays inside A_k.
 

@@ -28,7 +28,6 @@ from .construction import (
     Schedule,
     build_counterexample,
     derive_schedule,
-    tower_chain_system,
 )
 from .distributions import LatticeDistribution, lattice_sum_distributions
 from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
@@ -133,7 +132,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         if config.variant == "thm1":
             results.append(pr.mds_conditional_mean_test(model, window=3))
         else:
-            results.append(pr.mixing_probe(tower_chain_system(sched), sched))
+            results.append(pr.mixing_probe(model.system, sched))
             results.append(pr.conditional_variance_floor(model))
     else:  # thm2
         for k in range(sched.K):

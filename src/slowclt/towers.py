@@ -104,40 +104,42 @@ class TowerSystem:
         u(t - H_d), u(t < 0) = 0: at age a the state is (d, i) with probability
         r_d u(a - i), and pi(d, i) = r_d / mu with mu = sum r_d H_d.
 
-        u is solved in blocks of L = qB lags, q rows of B = min H.  The
-        towers of height B (ties merged) land with a = their summed r_d; the
-        others, the lowest h1 high, read only lags before the block, as
-        q = max(1, min(h1 // B, 8)).  Row i is Y_i = a Y_(i-1) + sum_d r_d
-        S_d[i], S_d the q x B view of u that lies H_d before the block, so
+        u is solved in blocks of L = qB lags, q rows of B = min H.  Towers
+        of one height are merged, r_d the exact sum of theirs: height B lands
+        with a = its r_d; the other heights, the lowest h1, read only lags
+        before the block, as q = max(1, min(h1 // B, 8)).  Row i is Y_i =
+        a Y_(i-1) + sum_d r_d S_d[i], S_d the q x B view of u that lies H_d
+        before the block, so
             Y = T0 (x) Y_(-1) + T1 sum_d r_d S_d = [T0 | r_1 T1 | ...] @ Z,
         T0[i] = a^(i+1), T1[i, p] = a^(i-p) for p <= i, else 0, each exact and
         rounded once; Z gathers the row before the block and the S_d at
         offsets made once per stream.  u(0) = 1 puts a^i at lag iB of block 0.
         All terms are non-negative, so each value is within a factor
-        1 +- gamma_g, g = 2 + q(K - #ties), of the exact block map of the
-        values before it (Higham, Accuracy and Stability of Numerical
-        Algorithms, ch. 3); the map is monotone and lag t hangs on t // L + 1
-        blocks, so u(t) is within (1 +- gamma_g)^(t // L + 1) of exact (2.0e-15
-        measured at thm3 c=0.25 beta=0.5 K=3).  Only the last max(H) values are
-        carried over, and the yielded buffer is overwritten by the next chunk.
+        1 +- gamma_g, g = 2 + q #{distinct heights > B}, of the exact block
+        map of the values before it (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 3); the map is monotone and lag t hangs on
+        t // L + 1 blocks, so u(t) is within (1 +- gamma_g)^(t // L + 1) of
+        exact (2.0e-15 measured at thm3 c=0.25 beta=0.5 K=3).  Only the last
+        max(H) values are carried over, and the yielded buffer is overwritten
+        by the next chunk.
         """
         H, r = self.heights, self.landing
         W, B = int(H.max()), int(H.min())
-        others = [(rd, hd) for rd, hd in zip(r.tolist(), H.tolist()) if hd > B]
-        q = max(1, min(min((hd for _, hd in others), default=8 * B) // B, 8))
+        land = {h: sum(map(Fraction, r[H == h].tolist())) for h in sorted(set(H.tolist()))}
+        n, d = land.pop(B).as_integer_ratio()  # a = n / d
+        q = max(1, min(min(land, default=8 * B) // B, 8))
         L = q * B
         # C >= max(H) keeps the carried history; C >= 1024 keeps numpy calls few per lag
         C = -(-max(W, 1024) // L) * L
-        n, d = sum(map(Fraction, r[H == B].tolist())).as_integer_ratio()  # a = n / d
 
         def powers(c):  # c a^k for k = 0 .. q, exact in integers, rounded once
             cn, cd = c.as_integer_ratio()
             return np.array([cn * n**k / (cd * d**k) for k in range(q + 1)])
 
         below = np.subtract.outer(np.arange(q), np.arange(q))  # i - p
-        M = np.hstack([powers(1)[1:, None]] + [np.tril(powers(rd)[below]) for rd, _ in others])
+        M = np.hstack([powers(1)[1:, None]] + [np.tril(powers(rd)[below]) for rd in land.values()])
         # Z's rows start at these lags, the block's at 0: the row before, then each S_d
-        offsets = np.array([-B] + [p - hd for _, hd in others for p in range(0, L, B)])
+        offsets = np.array([-B] + [p - hd for hd in land for p in range(0, L, B)])
         u = np.zeros(W + C)  # times m0 - W .. m0 + C - 1
         rows = np.lib.stride_tricks.sliding_window_view(u, B)
         plan = list(zip(W + offsets + np.arange(0, C, L)[:, None], u[W:].reshape(-1, q, B)))

@@ -34,7 +34,6 @@ from slowclt.construction import (
     LatticeNoise,
     ProcessModel,
     TwoIntervalUniformNoise,
-    tower_chain_system,
 )
 from slowclt.distributions import lattice_sum_by_path_enumeration, root_n_interval_probability
 from slowclt.reporting import ExperimentConfig
@@ -114,12 +113,11 @@ def test_criterion_03_thm3_llt_chain(thm3):
 
 
 def test_criterion_04_thm3_mixing(thm3):
-    """Exact beta of the tower chain falls below 7 eps_k at searched lags."""
+    """Exact beta of the model's chain falls below 7 eps_k at searched lags."""
     t0 = time.monotonic()
-    sched, _ = thm3
-    chain = tower_chain_system(sched)
-    assert chain.n_states <= 10**4
-    res = mixing_probe(chain, sched)
+    sched, model = thm3
+    assert sum(sched.H) + sched.remainder_height <= 10**4
+    res = mixing_probe(model.system, sched)
     assert res.passed
     for b_val, eps in zip(res.details["beta_at_m"], sched.eps):
         assert b_val <= 7.0 * eps

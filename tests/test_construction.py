@@ -28,7 +28,6 @@ from slowclt.construction import (
     LatticeNoise,
     ProcessModel,
     TwoIntervalUniformNoise,
-    tower_chain_system,
 )
 
 DESK_THM1 = RateSequence.power_law(0.5, 0.5)
@@ -290,11 +289,11 @@ class TestBuildCounterexample:
         m = build_counterexample(s)
         assert m.sigma2 == pytest.approx(s.constants["sigma2_truncated"], abs=1e-14)
 
-    def test_tower_chain_system(self):
+    def test_thm3_system_splits_each_tower(self):
         s = derive_schedule_thm3(DESK_THM3, 3)
-        chain = tower_chain_system(s)
-        assert len(chain.towers) == 4  # 3 scheduled + remainder
-        assert chain.n_states == sum(s.H) + s.remainder_height
+        chain = build_counterexample(s).system
+        assert len(chain.towers) == 7  # a marked and an unmarked half of 3, + remainder
+        assert chain.n_states == 2 * sum(s.H) + s.remainder_height
         assert chain.is_aperiodic()
 
 

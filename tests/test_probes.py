@@ -36,7 +36,6 @@ from slowclt.construction import (
     ProcessModel,
     TwoIntervalUniformNoise,
     derive_schedule_thm3,
-    tower_chain_system,
 )
 from slowclt import probes
 from slowclt.probes import ProbeResult, _mds_exact, _mixing_lags, variance_probe
@@ -300,11 +299,11 @@ class TestMixing:
     def _blocks(sys_):
         """(L, g) by renewal_chunks' rule: L = qB lags a block, B = min H,
         q = max(1, min(h1 // B, 8)) for h1 the lowest other height, and g =
-        2 + q (#towers above B), the roundings that bound a value's error."""
-        H = sys_.heights
-        B = int(H.min())
-        tall = H[H > B]
-        q = max(1, min(int(tall.min()) // B if len(tall) else 8, 8))
+        2 + q (#distinct heights above B), the roundings that bound a value's
+        error."""
+        H = np.unique(sys_.heights)
+        B, tall = int(H[0]), H[1:]
+        q = max(1, min(int(tall[0]) // B if len(tall) else 8, 8))
         return q * B, 2 + q * len(tall)
 
     @staticmethod
@@ -404,18 +403,44 @@ class TestMixing:
     @example([(3, 0.6), (100, 0.3), (257, 0.1)])  # h1 // B > 8: eight rows a block
     @example([(7, 1.0)])  # a single tower
     def test_stream_is_within_the_exact_recursion_bound(self, towers):
+        total = sum(w for _, w in towers)
+        sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
+        self._assert_within_exact_bound(sys_)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 300), st.floats(0.05, 1.0)), min_size=1, max_size=4),
+           st.lists(st.booleans(), min_size=4, max_size=4))
+    # as thm3 c=0.25 beta=0.5 K=2 halves its scheduled towers, not the remainder
+    @example([(17, 0.4), (256, 0.35), (1025, 0.25)], [False, True, True, False])
+    @example([(5, 0.3), (40, 0.7)], [False, True, False, False])  # a tall tie only
+    def test_towers_of_one_height_are_merged(self, towers, cut):
+        # halving towers into two of one height keeps the bound with g counting
+        # distinct heights, and the width of the block matrix M @ Z
+        total = sum(w for _, w in towers)
+        specs = [TowerSpec(h, w / total) for h, w in towers]
+        split = build_tower_system([half for spec, c in zip(specs, cut) for half in
+                                    ([TowerSpec(spec.height, spec.mass / 2)] * 2 if c else [spec])])
+        self._assert_within_exact_bound(split)
+        shapes = []
+        for sys_ in (build_tower_system(specs), split):
+            with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+                list(itertools.islice(sys_.renewal_chunks(), 2))
+            shapes.append({call.args[0].shape for call in dot.call_args_list})
+        L, g = self._blocks(split)  # M is q x (1 + q #{distinct heights > B}) = q x (g - 1)
+        assert shapes[0] == shapes[1] == {(L // int(split.heights.min()), g - 1)}
+
+    @classmethod
+    def _assert_within_exact_bound(cls, sys_):
         # renewal_chunks' bound: u(t) within a factor (1 +- gamma_g)^(t // L + 1)
         # of exact, checked in integers at every lag of the first two chunks
         # and past the second boundary, so at every block and chunk edge there
-        total = sum(w for _, w in towers)
-        sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
         n = 2 * len(next(sys_.renewal_chunks())) + 2
-        got = self._streamed_u(sys_, n).tolist()
-        U, E = self._exact_u(sys_, n)
-        L, g = self._blocks(sys_)
+        got = cls._streamed_u(sys_, n).tolist()
+        U, E = cls._exact_u(sys_, n)
+        L, g = cls._blocks(sys_)
         for t in range(n):
             p, s_ = got[t].as_integer_ratio()  # |p / s_ - U[t] / 2^(E t)| <= b U[t] / 2^(E t)
-            b = self._growth(g, Fraction(1, 1 << 53), t // L + 1)
+            b = cls._growth(g, Fraction(1, 1 << 53), t // L + 1)
             assert abs((p << E * t) - U[t] * s_) * b.denominator <= b.numerator * U[t] * s_, t
 
     @settings(max_examples=30, deadline=None)
@@ -437,7 +462,7 @@ class TestMixing:
         # the stream and a long-double recursion are each within their bound
         # of the exact u, so |u - u_ld| <= (b + b_ld) u <= (b + b_ld) u_ld / (1 - b_ld)
         s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
-        chain = tower_chain_system(s)
+        chain = build_counterexample(s).system
         n = mixing_probe(chain, s).details["m_lags"][-1] + 1
         got, ref = self._streamed_u(chain, n), self._longdouble_u(chain, n)
         t = np.arange(n)
@@ -451,7 +476,7 @@ class TestMixing:
     def test_desk_beta_equals_exact_tv_assembly(self, c, beta, K):
         # the prefix-sum assembly the kernel replaced was 1.4e-13 off at K=3
         s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
-        chain = tower_chain_system(s)
+        chain = build_counterexample(s).system
         m_lags = mixing_probe(chain, s).details["m_lags"]
         C = len(next(chain.renewal_chunks()))
         edges = [k * C + d for k in range(1, m_lags[-1] // C + 1) for d in (-1, 0, 1)]
@@ -461,7 +486,7 @@ class TestMixing:
 
     @pytest.mark.parametrize("K", [3, 4])
     def test_kernel_equals_fraction_count(self, K):
-        chain = tower_chain_system(derive_schedule_thm3(DESK_THM3, K))
+        chain = build_counterexample(derive_schedule_thm3(DESK_THM3, K)).system
         H = chain.heights.tolist()
         pairs = [(Fraction(lm) * Fraction(rd) / 2, hl, hd)
                  for lm, hl in zip(chain.level_masses.tolist(), H)
@@ -512,7 +537,7 @@ class TestMixing:
 
     def test_lag_cap_stops_the_search(self):
         s = derive_schedule_thm3(DESK_THM3, 3)
-        chain = tower_chain_system(s)
+        chain = build_counterexample(s).system
         lags, betas = _mixing_lags(chain, s.eps)  # 63457, 79887, 96347
         for cap, found in [(lags[1] - 1, 1), (lags[1], 2), (lags[0] - 1, 0)]:
             with mock.patch.object(probes, "LAG_CAP", cap):
@@ -522,7 +547,7 @@ class TestMixing:
         # u, |u - 1/mu| and the kernel are about 8 max(H) floats (the
         # prefix-sum assembly the kernel replaced held about 13)
         s = derive_schedule_thm3(DESK_THM3, 6)
-        chain = tower_chain_system(s)
+        chain = build_counterexample(s).system
         tracemalloc.start()
         try:
             lags, _ = _mixing_lags(chain, s.eps)
@@ -533,7 +558,7 @@ class TestMixing:
         assert peak <= 10 * 8 * int(chain.heights.max())
 
     @pytest.mark.parametrize("sys_", [
-        tower_chain_system(derive_schedule_thm3(DESK_THM3, 3)),
+        build_counterexample(derive_schedule_thm3(DESK_THM3, 3)).system,
         build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)]),
     ])
     def test_two_streams_on_one_system_are_independent(self, sys_):
@@ -563,8 +588,8 @@ class TestMixing:
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.25, 0.5, 6), (0.1, 1.0, 8)])
     def test_desk_chunk_is_the_first_block_multiple_past_max_h_and_1024(self, c, beta, K):
-        self._assert_chunk_length(tower_chain_system(derive_schedule_thm3(
-            RateSequence.power_law(c, beta), K)))
+        self._assert_chunk_length(build_counterexample(derive_schedule_thm3(
+            RateSequence.power_law(c, beta), K)).system)
 
     @classmethod
     def _assert_chunk_length(cls, sys_):
@@ -583,7 +608,7 @@ class TestMixing:
     def test_desk_lags_pinned(self, K, lags, betas):
         # lags and betas of the push-forward engine the renewal stream replaced
         s = derive_schedule_thm3(DESK_THM3, K)
-        r = mixing_probe(tower_chain_system(s), s)
+        r = mixing_probe(build_counterexample(s).system, s)
         assert r.details["m_lags"] == lags
         assert np.max(np.abs(np.array(r.details["beta_at_m"]) - betas)) <= 1e-12
 
@@ -594,13 +619,28 @@ class TestMixing:
     def test_no_eps_to_check_is_variant_mismatch(self, variant, rate):
         s = derive_schedule(variant, rate, 2)
         with pytest.raises(VariantMismatch, match="eps"):
-            mixing_probe(tower_chain_system(s), s)
+            mixing_probe(build_counterexample(s).system, s)
+
+    def test_split_chain_beta_is_the_coarse_beta_plus_the_split_term(self):
+        # the thm3 model halves each scheduled tower.  Until a start reaches a
+        # top it is a point mass on a level that carries lambda_l / 2 of the
+        # mass, against lambda_l in one tower of the summed mass; after a
+        # landing the halves' laws add up to the whole tower's.  So below max H
+        #     beta_split(m) = beta_whole(m) + sum_l (lambda_l^2 / 2) (H_l - m)_+
+        s = derive_schedule_thm3(DESK_THM3, 3)
+        whole = build_tower_system([TowerSpec(h, p) for h, p in zip(
+            s.H + (s.remainder_height,), s.p + (s.remainder_mass,))])
+        lags = [1, 256, 1024, 4096]
+        lam = whole.level_masses[:-1]  # the remainder tower is not halved
+        want = [b + math.fsum(x * x / 2 * max(h - m, 0) for x, h in zip(lam.tolist(), s.H))
+                for m, b in zip(lags, mixing_profile(whole, lags).beta)]
+        got = mixing_profile(build_counterexample(s).system, lags).beta
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_desk_probe_meets_seven_eps(self):
         s = derive_schedule_thm3(DESK_THM3, 3)
-        chain = tower_chain_system(s)
-        assert chain.n_states <= 10**4
-        r = mixing_probe(chain, s)
+        assert sum(s.H) + s.remainder_height <= 10**4
+        r = mixing_probe(build_counterexample(s).system, s)
         assert r.passed
         assert r.details["seven_eps"] == [7.0 * e for e in s.eps]
         lags = r.details["m_lags"]
@@ -612,7 +652,7 @@ class TestMixing:
         # the odd remainder (675) makes beta(m) fall fast enough: every lag
         # is found below LAG_CAP, the last at 3,825,012
         s = derive_schedule_thm3(DESK_THM3, 7)
-        r = mixing_probe(tower_chain_system(s), s)
+        r = mixing_probe(build_counterexample(s).system, s)
         assert r.passed
         assert r.details["m_lags"][-1] == 3_825_012 <= probes.LAG_CAP
 

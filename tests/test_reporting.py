@@ -842,13 +842,17 @@ for args in (["report", "--variant", "thm1", "--rate-c", "0.5", "--rate-beta", "
 """
 
 
+def _child_env(**over: str) -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, and over."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **over)
+
+
 def _certify_thm1(tmp_path, K: int) -> list[tuple[str, float, int]]:
     """(exit code, seconds, children's peak KiB) of report, then of verify."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", K5_LAUNCHER, str(tmp_path), str(K)],
-                          capture_output=True, text=True, timeout=300, env=env)
+                          capture_output=True, text=True, timeout=300, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert len(lines) == 2
@@ -874,3 +878,16 @@ def test_thm1_k7_certifies_under_200mb(tmp_path):
     # than n_6 hold the count
     for rc, seconds, maxrss_kib in _certify_thm1(tmp_path, 7):
         assert rc == "0" and seconds < 30.0 and maxrss_kib < 200 << 10
+
+
+def test_thm3_desk_certificate_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long np.dot across threads, which changes the order of
+    # its sum.  The K=3 scan's dots of 2 max H - 1 = 8,193 floats give the
+    # same bytes under 1 and 2 threads; K=5's longer ones do not yet
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "slowclt.cli", "report", *CLI_FLAGS["thm3"],
+                               "--out", str(tmp_path / threads)], capture_output=True, text=True,
+                              timeout=120, env=_child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "1" / "report.ndjson").read_bytes() == (
+        tmp_path / "2" / "report.ndjson").read_bytes()
