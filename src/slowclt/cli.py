@@ -3,9 +3,14 @@
 Subcommands:
   schedule  derive and print the per-index parameters for a variant
   build     construct the model and print its structural summary
-  probe     run a single named probe
+  probe     run the certificate's probes and print the one record of a name
   report    run the full probe suite and write report.{txt,ndjson} + curves.csv
   verify    rerun a report.ndjson certificate from its header and compare
+
+probe is a filter over run_experiment, the one probe plan: it costs what
+report costs, reads --seed and --mc-reps as report does, and exits 2 when
+the certificate holds no record of that name (mixing off thm3) or index
+(llt and clt at an even k of thm2).
 
 Exit codes: 0 on success with all inequalities holding, 1 when a probe or
 certificate check fails, 2 on configuration or usage errors.
@@ -19,7 +24,6 @@ import sys
 
 from .construction import build_counterexample
 from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
-from . import probes as pr
 from .reporting import (
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -84,25 +88,16 @@ def _cmd_build(args) -> int:
 
 def _cmd_probe(args) -> int:
     config = _config_from_args(args)
-    sched = schedule_of(config)
     k = args.k
-    if not 0 <= k < sched.K:
-        raise ConfigError(f"--k must be in [0, {sched.K}), got {k}")
-    model = build_counterexample(sched)
-    if args.name == "llt":
-        if args.variant == "thm2":
-            res = pr.llt_probe_density(model, sched, k, mc_reps=config.mc_reps,
-                                       seed=config.seed)
-        else:
-            res = pr.llt_probe_lattice(model, sched, k)
-    elif args.name == "clt":
-        res = pr.clt_probe(model, sched, k)
-    elif args.name == "mds":
-        res = pr.mds_conditional_mean_test(model, window=3)
-    elif args.name == "mixing":
-        res = pr.mixing_probe(model.system, sched)
-    else:
-        res = pr.variance_probe(model)
+    if not 0 <= k < config.K:
+        raise ConfigError(f"--k must be in [0, {config.K}), got {k}")
+    names = ("llt", "llt-ratio") if args.name == "llt" else (args.name,)
+    res = next((r for r in run_experiment(config).results
+                if r.name in names and (args.name not in ("llt", "clt") or r.index == k)), None)
+    if res is None:  # mixing off thm3, or llt or clt at an even k of thm2
+        why = ("schedules no eps_k to check mixing against" if args.name == "mixing"
+               else f"certifies llt and clt at odd k only, got --k {k}")
+        raise ConfigError(f"{config.variant} {why}")
     _print_record(_probe_record(res))
     return EXIT_OK if res.passed else EXIT_FAIL
 
@@ -140,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("probe", help="run a single named probe")
+    p = sub.add_parser("probe", help="print one probe record of the certificate")
     _add_config_args(p, seeded=True)
     p.add_argument("name", choices=("llt", "clt", "mds", "mixing", "variance"))
     p.add_argument("--k", type=int, default=0)

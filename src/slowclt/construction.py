@@ -104,10 +104,6 @@ class Schedule:
     p: tuple[float, ...]  # tower masses
     rho: tuple[float, ...]
     eps: tuple[float, ...] = ()
-    # always (): the lags are in the mixing record's details["m_lags"]; the
-    # field stays because the certificate's schedule record carries it
-    m_lags: tuple[int, ...] = ()
-    delta: tuple[float, ...] = ()
     remainder_mass: float = 0.0
     remainder_height: int = 1
     rate_descriptor: dict = field(default_factory=dict)
@@ -249,14 +245,6 @@ def derive_schedule_thm3(a: RateSequence, K: int, eps0: float = 0.05) -> Schedul
         hs[-1] += 1
     rem = 1.0 - sum(ps)
     eps = tuple(eps0 * 2.0 ** (-k) for k in range(K))
-    # remainder-mass ratios: delta_k = p'_{k+1} / p'_k with p'_k the mass
-    # still unassigned before step k
-    deltas = []
-    unassigned = 1.0
-    for p_k in ps:
-        nxt = unassigned - p_k
-        deltas.append(nxt / unassigned)
-        unassigned = nxt
     return Schedule(
         variant="thm3",
         n=tuple(ns),
@@ -265,7 +253,6 @@ def derive_schedule_thm3(a: RateSequence, K: int, eps0: float = 0.05) -> Schedul
         p=tuple(ps),
         rho=tuple(n * n / H for n, H in zip(ns, hs)),
         eps=eps,
-        delta=tuple(deltas),
         remainder_mass=rem,
         remainder_height=rem_h,
         rate_descriptor=dict(a.descriptor),

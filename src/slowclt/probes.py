@@ -19,7 +19,6 @@ from .distributions import (
     LatticeDistribution,
     convolution_powers,
     kolmogorov_distance,
-    lattice_sum_distribution,
     root_n_interval_probability,
     sample_partial_sums,
 )
@@ -59,17 +58,14 @@ def _rate_at(sched: Schedule, k: int) -> float:
 
 
 def llt_probe_lattice(model: ProcessModel, sched: Schedule, k: int,
-                      dist: Optional[LatticeDistribution] = None) -> ProbeResult:
+                      dist: LatticeDistribution) -> ProbeResult:
     """mu(S_{n_k} = 0) >= a_{n_k}, with the closed-form intermediate bound.
 
-    dist, when given, is the exact law of S_{n_k} (lattice_sum_distribution
-    at n_k), so a caller running both lattice probes computes it once.
+    dist is the exact law of S_{n_k} (lattice_sum_distributions at n_k), so
+    a caller running both lattice probes computes it once.
     """
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice probe on a non-lattice model")
-    n = sched.n[k]
-    if dist is None:
-        dist = lattice_sum_distribution(model, n)
     value = dist.prob_at(0)
     bound = _rate_at(sched, k)
     inter = intersection_lower_bound(sched, k)
@@ -89,14 +85,15 @@ def clt_probe(model: ProcessModel, sched: Schedule, k: int,
               dist: Optional[LatticeDistribution] = None) -> ProbeResult:
     """Kolmogorov distance at n_k against a_{n_k}/2 (lattice) or a_{n_k} (density).
 
-    dist (lattice variants) and ratio (density variant) take an already
-    computed law of S_{n_k} or llt-ratio result, as in llt_probe_lattice.
+    It reads an already computed result: dist, the law of S_{n_k}, for the
+    lattice variants, as in llt_probe_lattice, and ratio, the llt-ratio
+    result at k, for the density variant.
     """
     n = sched.n[k]
     a_k = _rate_at(sched, k)
     if sched.variant in ("thm1", "thm3"):
         if dist is None:
-            dist = lattice_sum_distribution(model, n)
+            raise TypeError("clt_probe needs dist, the law of S_{n_k}, on a lattice variant")
         value = kolmogorov_distance(dist, math.sqrt(model.sigma2), n)
         return ProbeResult(
             name="clt", index=k, value=value, bound=a_k / 2.0,
@@ -105,7 +102,7 @@ def clt_probe(model: ProcessModel, sched: Schedule, k: int,
     # Density variant: certify the sup from below through the ratio probe,
     # sup >= (R/2 - phi(0)) * rho_k with R the certified interval ratio.
     if ratio is None:
-        ratio = llt_probe_density(model, sched, k)
+        raise TypeError("clt_probe needs ratio, the llt-ratio result at k, on thm2")
     r_lower = ratio.value - ratio.error
     value = (r_lower / 2.0 - PHI0) * sched.rho[k]
     return ProbeResult(

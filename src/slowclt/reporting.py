@@ -117,6 +117,15 @@ class ReportBundle:
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
+    """The certificate's probe results, in the order report.ndjson records them.
+
+    thm1: llt and clt at each k, then variance, mds (window 3) and
+    variance-floor.  thm3: the same, with mixing between mds and
+    variance-floor.  thm2: llt-ratio and clt at each odd k, then
+    density-bound, variance and mds.  iid-baseline: baseline-span-decay,
+    baseline-span-small and baseline-bad-span.  `slowclt probe` prints one
+    of these records, so this is the one place a probe is run.
+    """
     t0 = time.monotonic()
     if config.variant == "iid-baseline":
         results = _run_baseline(config)
@@ -129,11 +138,10 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
             results.append(pr.llt_probe_lattice(model, sched, k, dist=dist))
             results.append(pr.clt_probe(model, sched, k, dist=dist))
         results.append(pr.variance_probe(model))
-        if config.variant == "thm1":
-            results.append(pr.mds_conditional_mean_test(model, window=3))
-        else:
+        results.append(pr.mds_conditional_mean_test(model, window=3))
+        if config.variant == "thm3":
             results.append(pr.mixing_probe(model.system, sched))
-            results.append(pr.conditional_variance_floor(model))
+        results.append(pr.conditional_variance_floor(model))
     else:  # thm2
         for k in range(sched.K):
             if k % 2 == 0:

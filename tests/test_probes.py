@@ -25,6 +25,7 @@ from slowclt import (
     derive_schedule,
     gnedenko_baseline,
     gnedenko_baselines,
+    lattice_sum_distribution,
     llt_probe_density,
     llt_probe_lattice,
     mds_conditional_mean_test,
@@ -70,13 +71,14 @@ class TestLatticeProbes:
         s = derive_schedule("thm1", rate, 3)
         m = build_counterexample(s)
         for k in range(3):
-            r = llt_probe_lattice(m, s, k)
+            dist = lattice_sum_distribution(m, s.n[k])
+            r = llt_probe_lattice(m, s, k, dist)
             assert r.passed
             assert r.bound == rate(s.n[k])
             closed = r.details["closed_form_bound"]
             assert closed == s.d[k] * (1.0 - s.rho[k])
             assert closed >= rate(s.n[k])
-            r = clt_probe(m, s, k)
+            r = clt_probe(m, s, k, dist=dist)
             assert r.passed
             assert r.bound == rate(s.n[k]) / 2
 
@@ -84,7 +86,7 @@ class TestLatticeProbes:
         s = derive_schedule_thm3(DESK_THM3, 3)
         m = build_counterexample(s)
         for k in range(3):
-            r = llt_probe_lattice(m, s, k)
+            r = llt_probe_lattice(m, s, k, lattice_sum_distribution(m, s.n[k]))
             assert r.passed and r.method == "exact"
             assert r.bound == DESK_THM3(s.n[k])
             assert r.details["quarter_mass_bound"] == s.p[k] / 4
@@ -97,15 +99,16 @@ class TestLatticeProbes:
         s = derive_schedule_thm3(DESK_THM3, 2)
         m = build_counterexample(s)
         for k in range(2):
-            r = clt_probe(m, s, k)
+            r = clt_probe(m, s, k, dist=lattice_sum_distribution(m, s.n[k]))
             assert r.passed
             assert r.bound == DESK_THM3(s.n[k]) / 2
 
     def test_wrong_noise_kind_rejected(self):
         s = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 4)
         m = build_counterexample(s)
+        law = LatticeDistribution(-1, np.array([0.5, 0.0, 0.5]))
         with pytest.raises(VariantMismatch):
-            llt_probe_lattice(m, s, 1)
+            llt_probe_lattice(m, s, 1, law)
 
 
 class TestDensityProbes:

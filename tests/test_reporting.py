@@ -91,7 +91,8 @@ class TestRunExperiment:
         names = [r.name for r in thm1_bundle.results]
         assert names.count("llt") == 3 and names.count("clt") == 3
         assert thm1_bundle.all_passed
-        assert len(thm1_bundle.results) == 8
+        assert len(thm1_bundle.results) == 9
+        assert "variance-floor" in names
 
     def test_model_summary_recorded(self, thm1_bundle):
         s = thm1_bundle.model_summary
@@ -176,11 +177,9 @@ class TestWriteAndVerify:
 
 class TestLatticeLawOnce:
     def test_one_law_per_k(self, monkeypatch):
-        import slowclt.probes
         import slowclt.reporting
 
-        # every law of S_{n_k} comes from one pass over all windows, and no
-        # probe computes a law again
+        # every law of S_{n_k} comes from one pass over all windows
         calls = []
         real = slowclt.reporting.lattice_sum_distributions
 
@@ -188,12 +187,7 @@ class TestLatticeLawOnce:
             calls.append(list(windows))
             return real(model, windows)
 
-        def single(model, n):
-            calls.append(n)
-            raise AssertionError("a probe recomputed the law of S_n")
-
         monkeypatch.setattr(slowclt.reporting, "lattice_sum_distributions", counting)
-        monkeypatch.setattr(slowclt.probes, "lattice_sum_distribution", single)
         bundle = run_experiment(desk_config(seed=7))
         assert calls == [[16, 64, 256]]
         assert bundle.all_passed
@@ -402,6 +396,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "eps" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("name", ["llt", "clt"])
+    def test_probe_even_k_of_thm2_exit_2(self, capsys, name):
+        # a thm2 certificate records llt-ratio and clt at odd k only
+        assert main(["probe", "--variant", "thm2", "--K", "2", name, "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "odd k" in captured.err and captured.out == ""
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE, "bogus": True}))
@@ -526,6 +527,30 @@ GOLDEN = {
 @pytest.fixture(scope="module")
 def golden_bundles():
     return {variant: run_experiment(desk_config(**over)) for variant, over in GOLDEN.items()}
+
+
+# each GOLDEN certificate's probe records, (name, index) in the order written
+RECORD_PLAN = {
+    "thm1": [("llt", 0), ("clt", 0), ("llt", 1), ("clt", 1), ("variance", -1), ("mds", 3),
+             ("variance-floor", 1)],
+    "thm3": [("llt", 0), ("clt", 0), ("llt", 1), ("clt", 1), ("variance", -1), ("mds", 3),
+             ("mixing", -1), ("variance-floor", 1)],
+    "thm2": [("llt-ratio", 1), ("clt", 1), ("density-bound", -1), ("variance", -1),
+             ("mds", 3)],
+    "iid-baseline": [("baseline-span-decay", 400), ("baseline-span-small", 400),
+                     ("baseline-bad-span", 400)],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN))
+def test_record_plan(golden_bundles, variant):
+    # the lattice certificates record the abstract's MDS and variance-floor
+    # claims, once each, whatever else they certify
+    results = golden_bundles[variant].results
+    assert [(r.name, r.index) for r in results] == RECORD_PLAN[variant]
+    if variant in ("thm1", "thm3"):
+        claims = [r for r in results if r.name in ("mds", "variance-floor")]
+        assert len(claims) == 2 and all(r.passed for r in claims)
 
 
 @pytest.fixture(scope="module")
@@ -819,9 +844,8 @@ def test_cli_prints_certificate_records(tmp_path, capsys, variant):
         assert printed("probe", *flags, name, *k) == rec
         probed.add(rec["name"])
     assert probed >= {"clt", "variance"}
-    # --mc-reps reaches no mds value: the probe prints the report's record,
-    # or for thm3, whose report has none, the exact route's
-    mds = [rec for rec in records[3:] if rec["name"] == "mds"] or [printed("probe", *flags, "mds")]
+    # --mc-reps reaches no mds value: the probe prints the report's record
+    mds = [rec for rec in records[3:] if rec["name"] == "mds"]
     assert [printed("probe", *flags, "mds", "--mc-reps", "20000")] == mds
 
 
