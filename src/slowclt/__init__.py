@@ -32,7 +32,6 @@ from .distributions import (
     lattice_sum_distributions,
     normal_cdf,
     sample_partial_sums,
-    symmetric_step_sum,
 )
 from .errors import (
     BadConstants,

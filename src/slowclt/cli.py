@@ -10,7 +10,8 @@ Subcommands:
 probe is a filter over run_experiment, the one probe plan: it costs what
 report costs, reads --seed and --mc-reps as report does, and exits 2 when
 the certificate holds no record of that name (mixing off thm3) or index
-(llt and clt at an even k of thm2).
+(llt and clt at an even k of thm2).  Any record name is a probe name, and
+llt also names thm2's llt-ratio.
 
 Exit codes: 0 on success with all inequalities holding, 1 when a probe or
 certificate check fails, 2 on configuration or usage errors.
@@ -92,11 +93,13 @@ def _cmd_probe(args) -> int:
     if not 0 <= k < config.K:
         raise ConfigError(f"--k must be in [0, {config.K}), got {k}")
     names = ("llt", "llt-ratio") if args.name == "llt" else (args.name,)
-    res = next((r for r in run_experiment(config).results
-                if r.name in names and (args.name not in ("llt", "clt") or r.index == k)), None)
-    if res is None:  # mixing off thm3, or llt or clt at an even k of thm2
+    named = [r for r in run_experiment(config).results if r.name in names]
+    per_k = args.name in ("llt", "llt-ratio", "clt")  # every other name has one record
+    res = next((r for r in named if not per_k or r.index == k), None)
+    if res is None:  # mixing off thm3, llt or clt at an even k of thm2, or no such name
         why = ("schedules no eps_k to check mixing against" if args.name == "mixing"
-               else f"certifies llt and clt at odd k only, got --k {k}")
+               else f"certifies llt and clt at odd k only, got --k {k}" if named
+               else f"certificate holds no {args.name!r} record")
         raise ConfigError(f"{config.variant} {why}")
     _print_record(_probe_record(res))
     return EXIT_OK if res.passed else EXIT_FAIL
@@ -137,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="print one probe record of the certificate")
     _add_config_args(p, seeded=True)
-    p.add_argument("name", choices=("llt", "clt", "mds", "mixing", "variance"))
+    p.add_argument("name", help="a probe record's name (llt also names llt-ratio)")
     p.add_argument("--k", type=int, default=0)
     p.set_defaults(func=_cmd_probe)
 

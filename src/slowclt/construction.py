@@ -52,10 +52,6 @@ class RateSequence:
         return a
 
     @staticmethod
-    def power_law(c: float, beta: float) -> "RateSequence":
-        return RateSequence(c, beta)
-
-    @staticmethod
     def from_descriptor(desc: dict) -> "RateSequence":
         if desc.get("family") != "power-law" or set(desc) - {"family", "c", "beta"}:
             raise ValueError(f"a rate is a power law with keys family, c and beta, got {desc!r}")
@@ -63,36 +59,29 @@ class RateSequence:
 
 
 def _smallest_n_with_rate_below(a: RateSequence, threshold: float, lo: int) -> int:
-    """Smallest n in [lo, SEARCH_CAP] with a_n <= threshold, scanning by
-    doubling + bisection; ScheduleInfeasible when there is none.
-
-    The comparison carries a 1e-12 relative slack so exact ties (e.g. a
-    power-law rate meeting a dyadic threshold on the nose) are accepted
-    despite floating-point rounding.
+    """Smallest n in [lo, SEARCH_CAP] with a_n <= threshold; ScheduleInfeasible
+    when there is none.  c n^-beta <= threshold from n = (c/threshold)^(1/beta)
+    on, so one step at a time from that n settles the float comparison, whose
+    1e-12 relative slack accepts exact ties (e.g. a power-law rate meeting a
+    dyadic threshold on the nose) despite floating-point rounding.
     """
     tol = threshold * (1.0 + 1e-12)
     cap = SEARCH_CAP
     if lo > cap:
         raise ScheduleInfeasible(f"no n <= {cap} is left to probe after n = {lo - 1}")
-    if a(lo) <= tol:
-        return lo
-    hi = lo
-    while True:
-        hi = min(2 * hi, cap)
-        if a(hi) <= tol:
-            break
-        if hi == cap:
+    try:
+        n = min(max(math.ceil((a.c / threshold) ** (1.0 / a.beta)), lo), cap)
+    except OverflowError:  # the power, or its ceiling, is past any float
+        n = cap
+    while n > lo and a(n - 1) <= tol:
+        n -= 1
+    while a(n) > tol:
+        if n == cap:
             raise ScheduleInfeasible(
                 f"no n <= {cap} with a_n <= {threshold:.6g} (a_{cap} = {a(cap):.6g})"
             )
-    # a is declared non-increasing, so bisection is sound
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -327,7 +316,6 @@ class TwoIntervalUniformNoise:
     """Density 1 on [-1, -1/2] union [1/2, 1]; mean 0, variance 7/12."""
 
     kind = "two-interval-uniform"
-    a = None
 
     @property
     def variance(self) -> float:

@@ -24,12 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, VariantMismatch
-from .towers import (
-    enumerate_paths,
-    occupancy_distribution,
-    occupancy_distributions,
-    sample_trajectory_batch,
-)
+from .towers import occupancy_distribution, occupancy_distributions, sample_trajectory_batch
 
 NORMALIZATION_TOL = 1e-12
 
@@ -44,9 +39,9 @@ class LatticeDistribution:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
-        if np.min(p) < -1e-15:
-            raise ValueError("negative probability entry")
-        if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
+        if not np.min(p) >= -1e-15:
+            raise ValueError("negative or NaN probability entry")
+        if not abs(float(p.sum()) - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}")
 
     @property
@@ -81,10 +76,10 @@ class PiecewiseDensity:
         object.__setattr__(self, "values", v)
         if len(bp) != len(v) + 1:
             raise ValueError("need one more breakpoint than values")
-        if np.any(np.diff(bp) <= 0):
+        if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must increase")
-        if np.min(v) < 0:
-            raise ValueError("negative density")
+        if not np.min(v) >= 0:
+            raise ValueError("negative or NaN density")
 
     def integral(self) -> float:
         return float(np.dot(np.diff(self.breakpoints), self.values))
@@ -136,22 +131,12 @@ def convolution_powers(probs, ns, conv=None) -> dict[int, np.ndarray]:
     return out
 
 
-def symmetric_step_sum(a: float, m: int) -> LatticeDistribution:
-    """The m-fold convolution of the {-1,0,1} noise with P(+-1)=a/2, from
-    O(log m) convolutions of convolution_powers, each entry within gamma_S
-    of exact, relative, S = 2 m floor(log2 m) + m - 1."""
-    if not (0.0 < a <= 1.0):
-        raise ValueError("a must lie in (0, 1]")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return LatticeDistribution(-m, convolution_powers([a / 2.0, 1.0 - a, a / 2.0], [m])[m])
-
-
-def _active(model) -> tuple:
-    """The slabs of a lattice model, below which its towers are inactive."""
+def _lattice(model) -> tuple:
+    """(a, slab) of a lattice model: its noise's P(g != 0), and the slabs
+    below which its towers are inactive."""
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice_sum_distribution needs a lattice model")
-    return model.slab
+    return model.noise.a, model.slab
 
 
 def _mixtures(a: float, occs) -> list[LatticeDistribution]:
@@ -181,29 +166,16 @@ def lattice_sum_distributions(model, windows) -> list[LatticeDistribution]:
     n: one pass of occupancy_distributions and one noise chain serve them
     all, each law the same to the bit as lattice_sum_distribution at its n.
     O(#skeletons K^2 + K N + N^2) time, N the largest window."""
-    return _mixtures(model.noise.a, occupancy_distributions(model.system, _active(model), windows))
+    a, slab = _lattice(model)
+    return _mixtures(a, occupancy_distributions(model.system, slab, windows))
 
 
 def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
     """Exact law of the n-step partial sum of a lattice model: the mixture over
     the occupancy count m (occupancy_distribution at n) of the m-fold noise
     law.  O(#skeletons K^2 + K n + n^2) time and O(K n) memory."""
-    return _mixtures(model.noise.a, [occupancy_distribution(model.system, _active(model), n)])[0]
-
-
-def lattice_sum_by_path_enumeration(model, n: int) -> LatticeDistribution:
-    """Brute-force oracle: every path of enumerate_paths times every noise outcome."""
-    a = model.noise.a
-    noise = [(v, p) for v, p in ((-1, a / 2.0), (0, 1.0 - a), (1, a / 2.0)) if p > 0.0]
-    outcomes = list(itertools.product(noise, repeat=n))
-    values = np.array([[v for v, _ in o] for o in outcomes], dtype=float)
-    weights = np.array([math.prod(p for _, p in o) for o in outcomes])
-    probs = np.zeros(2 * n + 1)
-    weight = model.weight_at(np.arange(model.system.n_states))
-    for path, prob in enumerate_paths(model.system, n):
-        totals = np.rint(values @ weight[list(path)]).astype(int)
-        np.add.at(probs, totals + n, prob * weights)
-    return LatticeDistribution(offset=-n, probs=probs)
+    a, slab = _lattice(model)
+    return _mixtures(a, [occupancy_distribution(model.system, slab, n)])[0]
 
 
 def _cell_masses_scaled_noise(c: float, left: float, step: float, ncells: int) -> np.ndarray:
@@ -233,7 +205,7 @@ def interval_probability(
     Raises BudgetExceeded when the grid would exceed the cell budget.
     """
     cs = [float(c) for c in coefficients if c > 0.0]
-    if u < 0:
+    if not u >= 0:
         raise ValueError("u must be >= 0")
     if not cs:
         return IntervalProbability(1.0, 0.0, "exact")
@@ -398,7 +370,7 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kolmogorov_distance(dist: LatticeDistribution, sigma: float, n: int) -> float:
     """sup_x |P(S_n <= x sigma sqrt(n)) - Phi(x)|, exact at the lattice jumps:
     the CDF at and just below each support point against Phi there."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -23,7 +23,7 @@ from .distributions import (
     sample_partial_sums,
 )
 from .errors import EvenIndex, LatticeMismatch, VariantMismatch
-from .towers import TowerSystem, enumerate_paths
+from .towers import TowerSystem
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
 
@@ -208,8 +208,9 @@ def mds_conditional_mean_test(model: ProcessModel, window: int,
     modulus over every positive-probability pair of consecutive states (a
     level step inside a tower, or a top-to-base landing) and every g_{j-1}
     in the noise support; all must vanish.  One pass over the towers' slabs;
-    _mds_exact is its brute-force oracle.  filter_coeff != 0 replaces f_j by
-    f_j + filter_coeff * f_{j-1}, a deliberately non-MDS control.
+    tests/oracles.py's mds_exact is its brute-force oracle.  filter_coeff !=
+    0 replaces f_j by f_j + filter_coeff * f_{j-1}, a deliberately non-MDS
+    control.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -244,33 +245,6 @@ def _noise_support(model):
     # two-interval noise, conditioned by sign: each sign carries its
     # conditional mean +-3/4, and E g = 0.
     return [(-0.75, 0.5), (0.75, 0.5)]
-
-
-def _mds_exact(model, window, j, filter_coeff) -> float:
-    """Brute-force oracle of _mds_tower_level: the conditional mean of f_j in
-    every (path, other noise values) cylinder of enumerate_paths."""
-    support = _noise_support(model)
-    paths = enumerate_paths(model.system, window)
-    weight = model.weight_at(np.arange(model.system.n_states))
-    bins: dict[tuple, list[float]] = {}
-    for path, pprob in paths:
-        if pprob == 0.0:
-            continue
-        others = [i for i in range(window) if i != j]
-        for gs in itertools.product(support, repeat=len(others)):
-            key_prob = pprob * math.prod(p for _, p in gs)
-            gvals = {i: v for i, (v, _) in zip(others, gs)}
-            key = (path, tuple(gvals[i] for i in others))
-            num, den = bins.setdefault(key, [0.0, 0.0])
-            for gj, pj in support:
-                gvals[j] = gj
-                f_j = weight[path[j]] * gj
-                if filter_coeff and j >= 1:
-                    f_j += filter_coeff * weight[path[j - 1]] * gvals[j - 1]
-                num += key_prob * pj * f_j
-                den += key_prob * pj
-            bins[key] = [num, den]
-    return max((abs(num / den) for num, den in bins.values() if den > 0.0), default=0.0)
 
 
 def conditional_variance_floor(model: ProcessModel) -> ProbeResult:

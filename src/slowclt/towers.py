@@ -80,10 +80,6 @@ class TowerSystem:
         self.offsets = np.concatenate([[0], np.cumsum(self.heights)])
         self.n_states = int(self.offsets[-1])
 
-    def stationary_array(self) -> np.ndarray:
-        """Stationary probability of every state, flat-indexed (small systems)."""
-        return np.repeat(self.level_masses, self.heights)
-
     def is_aperiodic(self) -> bool:
         return math.gcd(*[t.height for t in self.towers]) == 1
 
@@ -166,8 +162,9 @@ def sample_trajectory_batch(
     own substream SeedSequence([seed, b]), so every full block is the same
     whatever reps is.  A start is one uniform draw u, read through the
     cumulative tower masses to a tower and then through its level mass to a
-    level: the draw and the cumulative-mass search of
-    rng.choice(n_states, p=stationary_array()), with no per-state table.
+    level: the draw and the cumulative-mass search of rng.choice(n_states,
+    p=pi), pi each tower's level mass repeated over its levels, with no
+    per-state table.
     """
     towers = np.empty((reps, n), dtype=np.int32)
     levels = np.empty((reps, n), dtype=np.int32)
@@ -321,37 +318,3 @@ def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[OccupancyDi
 def occupancy_distribution(sys: TowerSystem, slab, n: int) -> OccupancyDistribution:
     """occupancy_distributions at the one window n."""
     return occupancy_distributions(sys, slab, [n])[0]
-
-
-def enumerate_paths(sys: TowerSystem, n: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Brute-force oracle: every length-n path of flat state indices from a
-    stationary start, with its probability."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pi = sys.stationary_array()
-    tops = set((sys.offsets[1:] - 1).tolist())
-    bases = sys.offsets[:-1].tolist()
-
-    def extend(path, prob):
-        if len(path) == n:
-            yield path, prob
-        elif path[-1] in tops:
-            for b, p in zip(bases, sys.landing):
-                if p > 0.0:
-                    yield from extend(path + (b,), prob * p)
-        else:
-            yield from extend(path + (path[-1] + 1,), prob)
-
-    for s in range(sys.n_states):
-        yield from extend((s,), pi[s])
-
-
-def occupancy_by_path_enumeration(sys: TowerSystem, slab, n: int) -> np.ndarray:
-    """Brute-force oracle: the occupancy law summed over enumerate_paths, a
-    state active when its level is at least its tower's slab."""
-    levels = np.arange(sys.n_states) - np.repeat(sys.offsets[:-1], sys.heights)
-    act = levels >= np.repeat(slab, sys.heights)
-    occ = np.zeros(n + 1)
-    for path, prob in enumerate_paths(sys, n):
-        occ[int(act[list(path)].sum())] += prob
-    return occ

@@ -27,7 +27,6 @@ from slowclt import (
     mixing_probe,
     normal_cdf,
     run_experiment,
-    symmetric_step_sum,
     write_report,
 )
 from slowclt.construction import (
@@ -35,12 +34,13 @@ from slowclt.construction import (
     ProcessModel,
     TwoIntervalUniformNoise,
 )
-from slowclt.distributions import lattice_sum_by_path_enumeration, root_n_interval_probability
+from slowclt.distributions import convolution_powers, root_n_interval_probability
 from slowclt.reporting import ExperimentConfig
+from oracles import lattice_sum_by_path_enumeration
 
-THM1_RATE = RateSequence.power_law(0.5, 0.5)
-THM3_RATE = RateSequence.power_law(0.25, 0.5)
-THM2_RATE = RateSequence.power_law(0.05, 1.0)
+THM1_RATE = RateSequence(0.5, 0.5)
+THM3_RATE = RateSequence(0.25, 0.5)
+THM2_RATE = RateSequence(0.05, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -205,14 +205,14 @@ def test_criterion_08_oracle_equivalence():
                 assert np.max(np.abs(exact.probs - ref.probs)) <= 1e-10
     for a in (0.3, 1.0):
         for m in range(7):
-            dist = symmetric_step_sum(a, m)
+            dist = convolution_powers([a / 2, 1 - a, a / 2], [m])[m]
             ref = np.zeros(2 * m + 1)
             vals, probs = [-1, 0, 1], [a / 2, 1 - a, a / 2]
             for combo in itertools.product(range(3), repeat=m):
                 ref[sum(vals[i] for i in combo) + m] += math.prod(
                     probs[i] for i in combo
                 )
-            assert np.max(np.abs(dist.probs - ref)) <= 1e-14
+            assert np.max(np.abs(dist - ref)) <= 1e-14
     print("ACCEPTANCE 8: PASS - exact engines equal brute-force oracles")
 
 

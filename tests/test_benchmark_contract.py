@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import slowclt
+from oracles import stationary_array
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -59,7 +60,7 @@ def test_tracer_installs_and_uninstalls():
     tracer.install(slowclt)
     try:
         sys_ = slowclt.build_tower_system([slowclt.TowerSpec(2, 0.4), slowclt.TowerSpec(3, 0.6)])
-        sys_.push_forward(sys_.stationary_array())
+        sys_.push_forward(stationary_array(sys_))
         slowclt.mixing_profile(sys_, [1, 2])
     finally:
         tracer.uninstall()
@@ -72,7 +73,7 @@ def test_tracer_installs_and_uninstalls():
 def test_tracer_reads_occupancy_calls():
     # the tracer reads occupancy_distribution's (system, active, n) by position
     tracing = _tracing()
-    sched = slowclt.derive_schedule("thm1", slowclt.RateSequence.power_law(0.5, 1.0), 5)
+    sched = slowclt.derive_schedule("thm1", slowclt.RateSequence(0.5, 1.0), 5)
     model = slowclt.build_counterexample(sched)
     tracer = tracing.Tracer()
     tracer.install(slowclt)

@@ -30,20 +30,20 @@ from slowclt.construction import (
     TwoIntervalUniformNoise,
 )
 
-DESK_THM1 = RateSequence.power_law(0.5, 0.5)
-DESK_THM3 = RateSequence.power_law(0.25, 0.5)
-DESK_THM2 = RateSequence.power_law(0.05, 1.0)
+DESK_THM1 = RateSequence(0.5, 0.5)
+DESK_THM3 = RateSequence(0.25, 0.5)
+DESK_THM2 = RateSequence(0.05, 1.0)
 
 
 class TestRateSequence:
     def test_power_law_values(self):
-        a = RateSequence.power_law(0.5, 0.5)
+        a = RateSequence(0.5, 0.5)
         assert a(16) == pytest.approx(0.125)
         with pytest.raises(ValueError):
             a(0)
 
     def test_descriptor_round_trip(self):
-        a = RateSequence.power_law(0.3, 0.75)
+        a = RateSequence(0.3, 0.75)
         b = RateSequence.from_descriptor(a.descriptor)
         assert b(37) == a(37)
 
@@ -80,7 +80,7 @@ class TestScheduleThm1:
             assert n * n * level_mass <= rho * d * (1 + 1e-12)
 
     def test_infeasible_rate(self):
-        slow = RateSequence.power_law(0.4, 1e-6)
+        slow = RateSequence(0.4, 1e-6)
         with pytest.raises(ScheduleInfeasible):
             derive_schedule_thm1(slow, 2)
 
@@ -88,7 +88,7 @@ class TestScheduleThm1:
         # a_1 = 0.01 meets the first two thresholds at n = 1, 2; n_2 >= 3
         # would pass the cap
         monkeypatch.setattr("slowclt.construction.SEARCH_CAP", 2)
-        a = RateSequence.power_law(0.01, 1.0)
+        a = RateSequence(0.01, 1.0)
         assert derive_schedule_thm1(a, 2).n == (1, 2)
         with pytest.raises(ScheduleInfeasible, match="no n <= 2"):
             derive_schedule_thm1(a, 3)
@@ -192,7 +192,7 @@ class TestScheduleProperties:
     @given(power_law_params)
     def test_thm1_invariants(self, params):
         c, beta, K = params
-        a = RateSequence.power_law(c, beta)
+        a = RateSequence(c, beta)
         try:
             s = derive_schedule_thm1(a, K)
         except ScheduleInfeasible:
@@ -210,7 +210,7 @@ class TestScheduleProperties:
     @given(power_law_params)
     def test_thm3_invariants(self, params):
         c, beta, K = params
-        a = RateSequence.power_law(c, beta)
+        a = RateSequence(c, beta)
         s = derive_schedule_thm3(a, K)
         assert all(x < y for x, y in zip(s.n, s.n[1:]))
         assert math.gcd(*s.H) == 1
@@ -231,7 +231,7 @@ class TestBuildCounterexample:
 
     def test_thm1_wholly_inactive_tower(self):
         # n_0 = 1 puts all H_0 = 2 levels of tower 0 in the slab
-        s = derive_schedule_thm1(RateSequence.power_law(0.1, 1.0), 3)
+        s = derive_schedule_thm1(RateSequence(0.1, 1.0), 3)
         assert s.n[0] == 1 and s.H[0] == 2
         m = build_counterexample(s)
         assert m.slab[0] == 2 and all(0 < m.slab[k] < s.H[k] for k in (1, 2))

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from slowclt import (
     LatticeDistribution,
+    PiecewiseDensity,
     RateSequence,
     TowerSpec,
+    VariantMismatch,
     build_counterexample,
     build_tower_system,
     derive_schedule,
@@ -28,7 +30,6 @@ from slowclt import (
     lattice_sum_distribution,
     lattice_sum_distributions,
     normal_cdf,
-    symmetric_step_sum,
 )
 from slowclt.construction import LatticeNoise, ProcessModel, TwoIntervalUniformNoise
 from slowclt.distributions import (
@@ -36,12 +37,12 @@ from slowclt.distributions import (
     _interval_probability_grid,
     _tail_coefficients,
     convolution_powers,
-    lattice_sum_by_path_enumeration,
     root_n_interval_probability,
     root_n_lower,
     sample_partial_sums,
     two_interval_sum_probability,
 )
+from oracles import lattice_sum_by_path_enumeration
 
 # Phi(x) frozen from a 25-digit computation
 NORMAL_CDF_REFS = {
@@ -87,21 +88,36 @@ class TestLatticeDistribution:
             LatticeDistribution(0, np.array([0.5, 0.4]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: LatticeDistribution(0, np.array([np.nan, 1.0])),
+    lambda: PiecewiseDensity(np.array([0.0, np.nan, 2.0]), np.array([0.5, 0.5])),
+    lambda: PiecewiseDensity(np.array([0.0, 1.0, 2.0]), np.array([np.nan, 0.5])),
+    lambda: kolmogorov_distance(LatticeDistribution(0, np.array([1.0])), math.nan, 1),
+    lambda: interval_probability([1.0, 1.0], math.nan),
+], ids=["lattice-probs", "density-breakpoints", "density-values", "kolmogorov-sigma",
+        "interval-u"])
+def test_nan_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestSymmetricStepSum:
+    """The m-fold convolution power of the {-1, 0, 1} noise with P(+-1) = a/2."""
+
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("m", [0, 1, 2, 4, 6])
     def test_equals_outcome_enumeration(self, a, m):
-        dist = symmetric_step_sum(a, m)
+        dist = convolution_powers([a / 2, 1 - a, a / 2], [m])[m]
         vals = [-1, 0, 1]
         probs = [a / 2, 1 - a, a / 2]
         ref = np.zeros(2 * m + 1)
         for combo in itertools.product(range(3), repeat=m):
             total = sum(vals[i] for i in combo)
             ref[total + m] += math.prod(probs[i] for i in combo)
-        assert np.allclose(dist.probs, ref, atol=1e-14)
+        assert np.allclose(dist, ref, atol=1e-14)
 
     def test_variance_is_m_a(self):
-        d = symmetric_step_sum(0.4, 9)
+        d = LatticeDistribution(-9, convolution_powers([0.4 / 2, 1 - 0.4, 0.4 / 2], [9])[9])
         assert d.variance() == pytest.approx(9 * 0.4, abs=1e-12)
         assert d.mean() == pytest.approx(0.0, abs=1e-15)
 
@@ -158,7 +174,7 @@ def tiny_lattice_model(a=0.5):
 
 @pytest.fixture(scope="module")
 def thm1_k5_desk():
-    sched = derive_schedule("thm1", RateSequence.power_law(0.5, 1.0), K=5)
+    sched = derive_schedule("thm1", RateSequence(0.5, 1.0), K=5)
     assert list(sched.n) == [4, 8, 16, 32, 64]
     return build_counterexample(sched)
 
@@ -170,6 +186,14 @@ class TestLatticeSumDistribution:
         exact = lattice_sum_distribution(model, n)
         ref = lattice_sum_by_path_enumeration(model, n)
         assert np.allclose(exact.probs, ref.probs, atol=1e-10)
+
+    def test_wrong_noise_kind_rejected(self):
+        sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
+        model = ProcessModel("thm2", sys_, TwoIntervalUniformNoise(), (0, 0), (0.5, 1.0))
+        with pytest.raises(VariantMismatch):
+            lattice_sum_distribution(model, 2)
+        with pytest.raises(VariantMismatch):
+            lattice_sum_distributions(model, [1, 2])
 
     def test_symmetric_law(self):
         d = lattice_sum_distribution(tiny_lattice_model(), 5)

@@ -39,10 +39,11 @@ from slowclt.construction import (
     derive_schedule_thm3,
 )
 from slowclt import probes
-from slowclt.probes import ProbeResult, _mds_exact, _mixing_lags, variance_probe
+from slowclt.probes import ProbeResult, _mixing_lags, variance_probe
+from oracles import mds_exact, stationary_array
 from test_distributions import exact_power, rounding_bound
 
-DESK_THM3 = RateSequence.power_law(0.25, 0.5)
+DESK_THM3 = RateSequence(0.25, 0.5)
 
 
 def small_model(a=0.5):
@@ -67,7 +68,7 @@ class TestProbeResult:
 
 class TestLatticeProbes:
     def test_thm1_bounds_are_closed_forms(self):
-        rate = RateSequence.power_law(0.5, 0.5)
+        rate = RateSequence(0.5, 0.5)
         s = derive_schedule("thm1", rate, 3)
         m = build_counterexample(s)
         for k in range(3):
@@ -104,7 +105,7 @@ class TestLatticeProbes:
             assert r.bound == DESK_THM3(s.n[k]) / 2
 
     def test_wrong_noise_kind_rejected(self):
-        s = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 4)
+        s = derive_schedule("thm2", RateSequence(0.05, 1.0), 4)
         m = build_counterexample(s)
         law = LatticeDistribution(-1, np.array([0.5, 0.0, 0.5]))
         with pytest.raises(VariantMismatch):
@@ -114,7 +115,7 @@ class TestLatticeProbes:
 class TestDensityProbes:
     @pytest.fixture()
     def thm2(self):
-        s = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 12)
+        s = derive_schedule("thm2", RateSequence(0.05, 1.0), 12)
         return s, build_counterexample(s)
 
     def test_ratio_probe_beats_l(self, thm2):
@@ -143,14 +144,14 @@ class TestDensityProbes:
         r = clt_probe(m, s, 1, ratio=ratio)
         assert r.passed
         assert r.method == "exact-lower-bound"
-        assert r.bound == RateSequence.power_law(0.05, 1.0)(s.n[1])
+        assert r.bound == RateSequence(0.05, 1.0)(s.n[1])
 
 
 class TestVarianceProbe:
     def test_lattice_and_density(self):
-        s1 = derive_schedule("thm1", RateSequence.power_law(0.5, 0.5), 3)
+        s1 = derive_schedule("thm1", RateSequence(0.5, 0.5), 3)
         assert variance_probe(build_counterexample(s1)).passed
-        s2 = derive_schedule("thm2", RateSequence.power_law(0.05, 1.0), 12)
+        s2 = derive_schedule("thm2", RateSequence(0.05, 1.0), 12)
         assert variance_probe(build_counterexample(s2)).passed
 
 
@@ -192,7 +193,7 @@ class TestMdsConditionalMean:
             support = lambda model: [(-1.0, 1.0 - q), (1.0, q)]  # noqa: E731
         with mock.patch.object(probes, "_noise_support", support):
             r = mds_conditional_mean_test(m, window, filter_coeff=filter_coeff)
-            want = _mds_exact(m, window, window // 2, filter_coeff)
+            want = mds_exact(m, window, window // 2, filter_coeff, support(m))
         assert r.method == "exact"
         assert abs(r.value - want) <= 1e-12
 
@@ -203,7 +204,8 @@ class TestMdsConditionalMean:
         for filter_coeff in (0.0, 0.5):
             r = mds_conditional_mean_test(m, 3, filter_coeff=filter_coeff)
             assert not r.passed
-            assert abs(r.value - _mds_exact(m, 3, 1, filter_coeff)) <= 1e-12
+            want = mds_exact(m, 3, 1, filter_coeff, probes._noise_support(m))
+            assert abs(r.value - want) <= 1e-12
 
     def test_climb_out_of_the_slab_counts(self, monkeypatch):
         # one 2-level tower, weight 0 then 2: the climb out of the slab gives
@@ -212,12 +214,13 @@ class TestMdsConditionalMean:
         m = ProcessModel("thm2", sys_, TwoIntervalUniformNoise(), (1,), (2.0,))
         monkeypatch.setattr(probes, "_noise_support", lambda model: [(-1.0, 0.1), (1.0, 0.9)])
         r = mds_conditional_mean_test(m, 2, filter_coeff=0.5)
-        assert r.value == pytest.approx(1.6) == _mds_exact(m, 2, 1, 0.5)
+        assert r.value == pytest.approx(1.6) == mds_exact(m, 2, 1, 0.5, probes._noise_support(m))
 
     def test_window_1_has_no_filter_term(self):
         m = small_model()
         r = mds_conditional_mean_test(m, 1, filter_coeff=0.5)
-        assert r.passed and abs(r.value - _mds_exact(m, 1, 0, 0.5)) <= 1e-12
+        want = mds_exact(m, 1, 0, 0.5, probes._noise_support(m))
+        assert r.passed and abs(r.value - want) <= 1e-12
 
     def test_window_below_1_rejected(self):
         with pytest.raises(ValueError):
@@ -259,7 +262,7 @@ class TestMixing:
         P[0, 1] = P[2, 3] = P[3, 4] = 1.0
         P[1, [0, 2]] = sys_.landing
         P[4, [0, 2]] = sys_.landing
-        pi = sys_.stationary_array()
+        pi = stationary_array(sys_)
         M = np.eye(5)
         for lag in range(1, 13):
             M = M @ P
@@ -293,7 +296,7 @@ class TestMixing:
                 P[s_, sys_.offsets[:-1]] += sys_.landing
             else:
                 P[s_, s_ + 1] = 1.0
-        pi = sys_.stationary_array()
+        pi = stationary_array(sys_)
         for lag, got in zip(lags, prof.beta):
             M = np.linalg.matrix_power(P, lag)
             assert abs(got - float(pi @ (0.5 * np.abs(M - pi).sum(axis=1)))) <= 1e-12
@@ -464,7 +467,7 @@ class TestMixing:
     def test_desk_stream_is_within_the_longdouble_bound(self, c, beta, K):
         # the stream and a long-double recursion are each within their bound
         # of the exact u, so |u - u_ld| <= (b + b_ld) u <= (b + b_ld) u_ld / (1 - b_ld)
-        s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
+        s = derive_schedule_thm3(RateSequence(c, beta), K)
         chain = build_counterexample(s).system
         n = mixing_probe(chain, s).details["m_lags"][-1] + 1
         got, ref = self._streamed_u(chain, n), self._longdouble_u(chain, n)
@@ -478,7 +481,7 @@ class TestMixing:
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
     def test_desk_beta_equals_exact_tv_assembly(self, c, beta, K):
         # the prefix-sum assembly the kernel replaced was 1.4e-13 off at K=3
-        s = derive_schedule_thm3(RateSequence.power_law(c, beta), K)
+        s = derive_schedule_thm3(RateSequence(c, beta), K)
         chain = build_counterexample(s).system
         m_lags = mixing_probe(chain, s).details["m_lags"]
         C = len(next(chain.renewal_chunks()))
@@ -592,7 +595,7 @@ class TestMixing:
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.25, 0.5, 6), (0.1, 1.0, 8)])
     def test_desk_chunk_is_the_first_block_multiple_past_max_h_and_1024(self, c, beta, K):
         self._assert_chunk_length(build_counterexample(derive_schedule_thm3(
-            RateSequence.power_law(c, beta), K)).system)
+            RateSequence(c, beta), K)).system)
 
     @classmethod
     def _assert_chunk_length(cls, sys_):
@@ -616,8 +619,8 @@ class TestMixing:
         assert np.max(np.abs(np.array(r.details["beta_at_m"]) - betas)) <= 1e-12
 
     @pytest.mark.parametrize("variant,rate", [
-        ("thm1", RateSequence.power_law(0.5, 0.5)),
-        ("thm2", RateSequence.power_law(0.05, 1.0)),
+        ("thm1", RateSequence(0.5, 0.5)),
+        ("thm2", RateSequence(0.05, 1.0)),
     ])
     def test_no_eps_to_check_is_variant_mismatch(self, variant, rate):
         s = derive_schedule(variant, rate, 2)

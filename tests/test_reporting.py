@@ -403,6 +403,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert "odd k" in captured.err and captured.out == ""
 
+    def test_probe_of_no_record_exit_2(self, capsys):
+        assert main(["probe", "--variant", "thm1", "--K", "2", "density-bound"]) == 2
+        captured = capsys.readouterr()
+        assert "no 'density-bound' record" in captured.err and captured.out == ""
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE, "bogus": True}))
@@ -813,9 +818,6 @@ CLI_FLAGS = {
     "thm3": ["--variant", "thm3", "--rate-c", "0.25", "--K", "3"],
     "thm2": ["--variant", "thm2", "--rate-c", "0.05", "--rate-beta", "1", "--K", "4"],
 }
-# the probe subcommand's name for each probe record it can reproduce
-PROBE_NAMES = {"llt": "llt", "llt-ratio": "llt", "clt": "clt", "mds": "mds",
-               "mixing": "mixing", "variance": "variance"}
 
 
 @pytest.mark.parametrize("variant", sorted(CLI_FLAGS))
@@ -835,15 +837,10 @@ def test_cli_prints_certificate_records(tmp_path, capsys, variant):
     assert printed("schedule", *flags) == schedule
     built = printed("build", *flags)
     assert built == {**model, "variant": variant, "aperiodic": True}
-    probed = set()
     for rec in records[3:]:
-        name = PROBE_NAMES.get(rec["name"])
-        if name is None:
-            continue
-        k = ["--k", str(rec["index"])] if name in ("llt", "clt") else []
-        assert printed("probe", *flags, name, *k) == rec
-        probed.add(rec["name"])
-    assert probed >= {"clt", "variance"}
+        k = ["--k", str(rec["index"])] if rec["name"] in ("llt", "llt-ratio", "clt") else []
+        for name in [rec["name"]] + ["llt"] * (rec["name"] == "llt-ratio"):  # llt names llt-ratio
+            assert printed("probe", *flags, name, *k) == rec
     # --mc-reps reaches no mds value: the probe prints the report's record
     mds = [rec for rec in records[3:] if rec["name"] == "mds"]
     assert [printed("probe", *flags, "mds", "--mc-reps", "20000")] == mds
