@@ -4,7 +4,7 @@ Subcommands:
   schedule  derive and print the per-index parameters for a variant
   build     construct the model and print its structural summary
   probe     run the certificate's probes and print the one record of a name
-  report    run the full probe suite and write report.{txt,ndjson} + curves.csv
+  report    run the full probe suite and write report.txt and report.ndjson
   verify    rerun a report.ndjson certificate from its header and compare
 
 probe is a filter over run_experiment, the one probe plan: it costs what

@@ -84,6 +84,14 @@ def _smallest_n_with_rate_below(a: RateSequence, threshold: float, lo: int) -> i
     return n
 
 
+def _probe_times(a: RateSequence, thresholds: Sequence[float]) -> list[int]:
+    """n_0 < n_1 < ...: each n_k the smallest n > n_{k-1} with a_n <= thresholds[k]."""
+    ns: list[int] = []
+    for t in thresholds:
+        ns.append(_smallest_n_with_rate_below(a, t, ns[-1] + 1 if ns else 1))
+    return ns
+
+
 @dataclass(frozen=True)
 class Schedule:
     variant: str  # "thm1" | "thm2" | "thm3"
@@ -97,6 +105,10 @@ class Schedule:
     remainder_height: int = 1
     rate_descriptor: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)  # L1, L2, L, c1, c2, ...
+
+    def __post_init__(self):
+        for name in ("n", "H", "d", "p", "rho", "eps"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def K(self) -> int:
@@ -113,41 +125,22 @@ def derive_schedule_thm1(a: RateSequence, K: int) -> Schedule:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    ns, hs, ds, rhos, ps = [], [], [], [], []
-    prev = 0
-    for k in range(K):
-        n_k = _smallest_n_with_rate_below(a, 2.0 ** (-(k + 3)), prev + 1)
-        a_k = a(n_k)
-        d_k = 2.0 * a_k
-        rho_k = 2.0 ** (-(k + 1))
-        # mu(A_k) = d_k with A_k the lowest H-n+1 levels => level mass
-        # d_k/(H-n+1); defect sum_{i<n} i*levelmass <= n^2 levelmass / 2.
-        # Required: n^2 * levelmass <= rho_k d_k, i.e. H >= n^2/rho_k + n - 1.
-        H_k = math.ceil(n_k * n_k / rho_k) + n_k - 1
-        p_k = d_k * H_k / (H_k - n_k + 1)
-        ns.append(n_k)
-        hs.append(H_k)
-        ds.append(d_k)
-        rhos.append(rho_k)
-        ps.append(p_k)
-        prev = n_k
+    ns = _probe_times(a, [2.0 ** (-(k + 3)) for k in range(K)])
+    rhos = [2.0 ** (-(k + 1)) for k in range(K)]
+    ds = [2.0 * a(n) for n in ns]
+    # mu(A_k) = d_k with A_k the lowest H-n+1 levels => level mass
+    # d_k/(H-n+1); defect sum_{i<n} i*levelmass <= n^2 levelmass / 2.
+    # Required: n^2 * levelmass <= rho_k d_k, i.e. H >= n^2/rho_k + n - 1.
+    hs = [math.ceil(n * n / rho) + n - 1 for n, rho in zip(ns, rhos)]
+    ps = [d * H / (H - n + 1) for d, H, n in zip(ds, hs, ns)]
     if sum(ds) >= 1.0:
         raise ScheduleInfeasible("sum of set masses d_k reached 1")
     rem = 1.0 - sum(ps)
     if rem <= 0.0:
         raise ScheduleInfeasible("tower masses exhausted the space")
-    rem_h = _remainder_height(hs, min_height=max(ns) + 1)
-    return Schedule(
-        variant="thm1",
-        n=tuple(ns),
-        H=tuple(hs),
-        d=tuple(ds),
-        p=tuple(ps),
-        rho=tuple(rhos),
-        remainder_mass=rem,
-        remainder_height=rem_h,
-        rate_descriptor=dict(a.descriptor),
-    )
+    return Schedule("thm1", ns, hs, ds, ps, rhos, remainder_mass=rem,
+                    remainder_height=_remainder_height(hs, min_height=max(ns) + 1),
+                    rate_descriptor=dict(a.descriptor))
 
 
 def derive_schedule_thm2(a: RateSequence, L1: float, L2: float, L: float, K: int) -> Schedule:
@@ -165,31 +158,17 @@ def derive_schedule_thm2(a: RateSequence, L1: float, L2: float, L: float, K: int
     sigma2_closed = (7.0 / 12.0) * (c1_closed / L1**2 + c2_closed / L2**2)
     sigma2_trunc = (7.0 / 12.0) * sum(p * d * d for p, d in zip(ps, ds))
     sigma = math.sqrt(sigma2_trunc)
-    ns, hs, rhos = [], [], []
-    prev = 0
-    for k in range(K):
-        rho_k = ds[k] / sigma
-        n_k = _smallest_n_with_rate_below(a, rho_k, prev + 1)
-        H_k = 2 * n_k
-        ns.append(n_k)
-        hs.append(H_k)
-        rhos.append(rho_k)
-        prev = n_k
-    # gcd of kept heights must be 1; H = 2n is always even, so bump H_0
-    # to the next odd value (still >= 2 n_0).
-    if math.gcd(*hs) > 1:
-        hs[0] += 1
-    rem = 2.0 ** (-K / 2.0)  # exact geometric tail mass
-    rem_h = _remainder_height(hs, min_height=2 * max(ns))
+    rhos = [d / sigma for d in ds]
+    ns = _probe_times(a, rhos)
+    # H_k = 2 n_k, but H_0 = 2 n_0 + 1 is odd.  The kept heights may still
+    # share a factor (c=0.05 beta=1 K=2 gives H = (3, 6)); the remainder
+    # height is taken coprime to it, so the chain is aperiodic
+    hs = [2 * n for n in ns]
+    hs[0] += 1
     return Schedule(
-        variant="thm2",
-        n=tuple(ns),
-        H=tuple(hs),
-        d=tuple(ds),
-        p=tuple(ps),
-        rho=tuple(rhos),
-        remainder_mass=rem,
-        remainder_height=rem_h,
+        "thm2", ns, hs, ds, ps, rhos,
+        remainder_mass=2.0 ** (-K / 2.0),  # exact geometric tail mass
+        remainder_height=_remainder_height(hs, min_height=2 * max(ns)),
         rate_descriptor=dict(a.descriptor),
         constants={
             "L1": L1,
@@ -213,17 +192,9 @@ def derive_schedule_thm3(a: RateSequence, K: int, eps0: float = 0.05) -> Schedul
         raise ValueError("K must be >= 2")
     caps = [2.0 ** (-k / 2.0) / (2.0 * SQRT2) for k in range(K)]
     scale = min(1.0, 0.96 / sum(caps))
-    caps = [scale * t for t in caps]
-    ns, ps, hs = [], [], []
-    prev = 0
-    for k in range(K):
-        n_k = _smallest_n_with_rate_below(a, caps[k] / 4.0, prev + 1)
-        p_k = 4.0 * a(n_k)
-        H_k = 4 * n_k * n_k
-        ns.append(n_k)
-        ps.append(p_k)
-        hs.append(H_k)
-        prev = n_k
+    ns = _probe_times(a, [scale * t / 4.0 for t in caps])
+    ps = [4.0 * a(n) for n in ns]
+    hs = [4 * n * n for n in ns]
     if sum(ps) >= 1.0:
         raise ScheduleInfeasible("tower masses p_k reached 1")
     # the remainder is taken coprime to gcd(4 n_k^2) before the tallest tower
@@ -232,17 +203,13 @@ def derive_schedule_thm3(a: RateSequence, K: int, eps0: float = 0.05) -> Schedul
     rem_h = _remainder_height(hs, min_height=max(ns) + 1)
     while math.gcd(*hs) > 1:
         hs[-1] += 1
-    rem = 1.0 - sum(ps)
-    eps = tuple(eps0 * 2.0 ** (-k) for k in range(K))
     return Schedule(
-        variant="thm3",
-        n=tuple(ns),
-        H=tuple(hs),
-        d=tuple((H - n + 1) * p / (2 * H) for H, n, p in zip(hs, ns, ps)),
-        p=tuple(ps),
-        rho=tuple(n * n / H for n, H in zip(ns, hs)),
-        eps=eps,
-        remainder_mass=rem,
+        "thm3", ns, hs,
+        d=[(H - n + 1) * p / (2 * H) for H, n, p in zip(hs, ns, ps)],
+        p=ps,
+        rho=[n * n / H for n, H in zip(ns, hs)],
+        eps=[eps0 * 2.0 ** (-k) for k in range(K)],
+        remainder_mass=1.0 - sum(ps),
         remainder_height=rem_h,
         rate_descriptor=dict(a.descriptor),
     )

@@ -202,9 +202,14 @@ def interval_probability(
     The grid path quantizes each factor to exact cell masses; Kolmogorov
     distance is subadditive under independent convolution, so the certified
     error is sum_j step/(2 c_j) per CDF endpoint, i.e. twice that in total.
-    Raises BudgetExceeded when the grid would exceed the cell budget.
+    g is symmetric, so c g has the law of |c| g: the sign of a coefficient
+    does not matter and a zero one drops out.  Raises ValueError for a
+    coefficient that is not finite, and BudgetExceeded when the grid would
+    exceed the cell budget.
     """
-    cs = [float(c) for c in coefficients if c > 0.0]
+    if not all(math.isfinite(c) for c in coefficients):
+        raise ValueError("coefficients must be finite")
+    cs = [abs(float(c)) for c in coefficients if c != 0.0]
     if not u >= 0:
         raise ValueError("u must be >= 0")
     if not cs:

@@ -1,12 +1,12 @@
 """Experiment configuration, report generation, and certificate verification.
 
-A run turns a JSON config into three artifacts in the output directory:
-report.txt (human summary), report.ndjson (one record per probe, floats at
-full precision), and curves.csv (per-index values for plotting).  The
-ndjson stream doubles as a certificate: every record is a deterministic
-function of the header, so verify_certificate reruns the experiment the
-header describes and compares each record's line with the rerun's text,
-field by field (floats within 1e-12 relative) only where the text differs.
+A run turns a JSON config into two artifacts in the output directory:
+report.txt (human summary) and report.ndjson (one record per probe, floats
+at full precision).  The ndjson stream doubles as a certificate: every
+record is a deterministic function of the header, so verify_certificate
+reruns the experiment the header describes and compares each record's line
+with the rerun's text, field by field (floats within 1e-12 relative) only
+where the text differs.
 """
 
 from __future__ import annotations
@@ -238,17 +238,9 @@ def _records(bundle: ReportBundle) -> list[dict]:
     """The certificate's records: header, schedule and model (when built), probes."""
     from . import __version__
 
-    records = [{
-        "record": "header",
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "variant": bundle.config.variant,
-        "K": bundle.config.K,
-        "rate": bundle.config.rate,
-        "seed": bundle.config.seed,
-        "mc_reps": bundle.config.mc_reps,
-        "constants": bundle.config.constants,
-    }]
+    config = {k: v for k, v in _fields(bundle.config).items() if k != "output_dir"}
+    records = [{"record": "header", "schema_version": SCHEMA_VERSION, "version": __version__,
+                **config}]
     if bundle.schedule is not None:
         records.append(_schedule_record(bundle.schedule))
     if bundle.model_summary:
@@ -270,44 +262,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_report(bundle: ReportBundle, out_dir: str) -> dict[str, str]:
-    """Write report.txt / report.ndjson / curves.csv; returns the paths."""
+    """Write report.txt and report.ndjson; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "txt": os.path.join(out_dir, "report.txt"),
         "ndjson": os.path.join(out_dir, "report.ndjson"),
-        "csv": os.path.join(out_dir, "curves.csv"),
     }
     lines = [_encode(rec) for rec in _records(bundle)]
     _atomic_write(paths["ndjson"], "\n".join(lines) + "\n")
-
-    _atomic_write(paths["csv"], _curves_csv(bundle))
     _atomic_write(paths["txt"], _text_report(bundle))
     return paths
-
-
-def _curves_csv(bundle: ReportBundle) -> str:
-    rows = ["variant,k,n,llt_value,llt_bound,clt_value,clt_bound,method"]
-    if bundle.schedule is None:
-        return rows[0] + "\n"
-    by_idx: dict[int, dict[str, pr.ProbeResult]] = {}
-    for r in bundle.results:
-        if r.name in ("llt", "llt-ratio", "clt"):
-            by_idx.setdefault(r.index, {})[r.name] = r
-    for k in sorted(by_idx):
-        d = by_idx[k]
-        llt = d.get("llt") or d.get("llt-ratio")
-        clt = d.get("clt")
-        rows.append(",".join([
-            bundle.config.variant,
-            str(k),
-            str(bundle.schedule.n[k]),
-            "%.17g" % llt.value if llt else "",
-            "%.17g" % llt.bound if llt else "",
-            "%.17g" % clt.value if clt else "",
-            "%.17g" % clt.bound if clt else "",
-            (llt or clt).method,
-        ]))
-    return "\n".join(rows) + "\n"
 
 
 def _text_report(bundle: ReportBundle) -> str:

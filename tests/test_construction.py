@@ -219,6 +219,29 @@ class TestScheduleProperties:
             assert p >= 4 * a(n) * (1 - 1e-12)
             assert H >= 4 * n * n
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["thm1", "thm2", "thm3"]), st.floats(min_value=0.01, max_value=2.0),
+           st.floats(min_value=0.25, max_value=2.0), st.integers(min_value=2, max_value=6))
+    def test_probe_times_are_minimal(self, variant, c, beta, K):
+        # n_k is the smallest n > n_{k-1} with a_n <= t_k, for the variant's threshold t_k
+        a = RateSequence(c, beta)
+        try:
+            s = derive_schedule(variant, a, K)
+        except ScheduleInfeasible:
+            return
+        if variant == "thm1":
+            ts = [2.0 ** (-(k + 3)) for k in range(K)]
+        elif variant == "thm2":
+            ts = list(s.rho)
+            assert s.H == tuple(2 * n + (k == 0) for k, n in enumerate(s.n))
+        else:
+            caps = [2.0 ** (-k / 2.0) / (2.0 * math.sqrt(2.0)) for k in range(K)]
+            ts = [min(1.0, 0.96 / sum(caps)) * cap / 4.0 for cap in caps]
+        for prev, n, t in zip((0,) + s.n, s.n, ts):
+            assert a(n) <= t * (1 + 1e-12)
+            assert n - 1 == prev or a(n - 1) > t * (1 + 1e-12)
+        assert math.gcd(*s.H, s.remainder_height) == 1
+
 
 class TestBuildCounterexample:
     def test_thm1_weight_layout(self):

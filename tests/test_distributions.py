@@ -94,8 +94,10 @@ class TestLatticeDistribution:
     lambda: PiecewiseDensity(np.array([0.0, 1.0, 2.0]), np.array([np.nan, 0.5])),
     lambda: kolmogorov_distance(LatticeDistribution(0, np.array([1.0])), math.nan, 1),
     lambda: interval_probability([1.0, 1.0], math.nan),
+    lambda: interval_probability([math.nan, 1.0], 0.9),
+    lambda: interval_probability([math.inf, 1.0], 0.9),
 ], ids=["lattice-probs", "density-breakpoints", "density-values", "kolmogorov-sigma",
-        "interval-u"])
+        "interval-u", "interval-nan-coefficient", "interval-inf-coefficient"])
 def test_nan_input_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -269,6 +271,15 @@ class TestIntervalProbability:
         assert r.method == "exact"
         assert r.value == pytest.approx(0.5, abs=1e-15)
         assert r.error == 0.0
+
+    @pytest.mark.parametrize("cs, u", [([2.0], 1.5), ([1.0, 1.0], 0.9),
+                                       ([1.0, 0.0, 0.5], 0.8)])
+    def test_signs_of_coefficients_do_not_matter(self, cs, u):
+        # g is symmetric, so c g has the law of |c| g
+        want = interval_probability(cs, u, target_error=1e-4)
+        for signs in itertools.product((1.0, -1.0), repeat=len(cs)):
+            got = interval_probability([s * c for s, c in zip(signs, cs)], u, target_error=1e-4)
+            assert got == want
 
     def test_empty_interval(self):
         r = interval_probability([1.0, 1.0], 0.0)
