@@ -23,13 +23,15 @@ import argparse
 import json
 import sys
 
-from .construction import build_counterexample
+from .construction import VARIANT_CONSTANTS, build_counterexample
 from .errors import BoundMismatch, ConfigError, ParseError, SlowCltError
 from .reporting import (
     SCHEMA_VERSION,
+    _VARIANTS,
     ExperimentConfig,
     _json_default,
     _probe_record,
+    _schema,
     _schedule_record,
     model_summary,
     run_experiment,
@@ -47,7 +49,7 @@ def _add_config_args(p: argparse.ArgumentParser, seeded: bool = False,
                      baseline: bool = False) -> None:
     """The flags a config is read from: --seed and --mc-reps when seeded, and
     the iid-baseline variant, with thm1 as the default, when baseline."""
-    variants = ("thm1", "thm2", "thm3") + (("iid-baseline",) if baseline else ())
+    variants = _VARIANTS if baseline else tuple(VARIANT_CONSTANTS)
     p.add_argument("--variant", required=not baseline, default="thm1", choices=variants)
     p.add_argument("--rate-c", type=float, default=0.5, help="rate a_n = c * n^-beta")
     p.add_argument("--rate-beta", type=float, default=0.5)
@@ -60,14 +62,12 @@ def _add_config_args(p: argparse.ArgumentParser, seeded: bool = False,
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config of the flags: each flag named as a config field sets it."""
+    types, _ = _schema(ExperimentConfig)
     return ExperimentConfig.from_dict({
+        **{name: v for name, v in vars(args).items() if name in types},
         "schema_version": SCHEMA_VERSION,
-        "variant": args.variant,
         "rate": {"family": "power-law", "c": args.rate_c, "beta": args.rate_beta},
-        "K": args.K,
-        "seed": getattr(args, "seed", 0),
-        "mc_reps": getattr(args, "mc_reps", 0),
-        "constants": args.constants,
     })
 
 

@@ -17,12 +17,13 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .construction import (
+    VARIANT_CONSTANTS,
     ProcessModel,
     RateSequence,
     Schedule,
@@ -35,18 +36,7 @@ from . import probes as pr
 
 SCHEMA_VERSION = 1
 
-_CONFIG_FIELDS = {
-    "schema_version": int,
-    "variant": str,
-    "rate": dict,
-    "K": int,
-    "seed": int,
-    "mc_reps": int,
-    "constants": dict,
-    "output_dir": str,
-}
-_REQUIRED = ("schema_version", "variant", "rate", "K")
-_VARIANTS = ("thm1", "thm2", "thm3", "iid-baseline")
+_VARIANTS = (*VARIANT_CONSTANTS, "iid-baseline")
 
 
 @dataclass(frozen=True)
@@ -61,20 +51,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config of raw: schema_version and cls's fields, typed as declared."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - set(_CONFIG_FIELDS)
+        types, required = _schema(cls)
+        unknown = set(raw) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = [f for f in _REQUIRED if f not in raw]
+        missing = [f for f in required if f not in raw]
         if missing:
             raise ConfigError(f"missing config fields: {missing}")
         if raw["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version {raw['schema_version']!r} not supported "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        for name, typ in _CONFIG_FIELDS.items():
+            raise ConfigError(f"schema_version {raw['schema_version']!r} not supported "
+                              f"(expected {SCHEMA_VERSION})")
+        for name, typ in types.items():
             if name in raw and (not isinstance(raw[name], typ) or isinstance(raw[name], bool)):
                 raise ConfigError(f"config field {name!r} must be {typ.__name__}")
         if raw["variant"] not in _VARIANTS:
@@ -88,8 +78,7 @@ class ExperimentConfig:
             RateSequence.from_descriptor(raw["rate"])
         except ValueError as exc:
             raise ConfigError(f"config field 'rate': {exc}") from exc
-        kwargs = {k: v for k, v in raw.items() if k != "schema_version"}
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in raw.items() if k != "schema_version"})
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -101,6 +90,19 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
+
+
+_SCHEMAS: dict[type, tuple[dict, tuple]] = {}
+
+
+def _schema(cls) -> tuple[dict, tuple]:
+    """({name: type}, required names) of a config of cls, made once per class."""
+    if cls not in _SCHEMAS:
+        hints, fields = get_type_hints(cls), dataclasses.fields(cls)
+        _SCHEMAS[cls] = ({"schema_version": int, **{f.name: hints[f.name] for f in fields}},
+                         ("schema_version", *(f.name for f in fields if f.default is MISSING
+                                              and f.default_factory is MISSING)))
+    return _SCHEMAS[cls]
 
 
 @dataclass
@@ -135,22 +137,17 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     results: list[pr.ProbeResult] = []
     if config.variant in ("thm1", "thm3"):
         for k, dist in enumerate(lattice_sum_distributions(model, sched.n)):
-            results.append(pr.llt_probe_lattice(model, sched, k, dist=dist))
-            results.append(pr.clt_probe(model, sched, k, dist=dist))
+            results += [pr.llt_probe_lattice(model, sched, k, dist=dist),
+                        pr.clt_probe(model, sched, k, dist=dist)]
         results.append(pr.variance_probe(model))
         results.append(pr.mds_conditional_mean_test(model, window=3))
         if config.variant == "thm3":
             results.append(pr.mixing_probe(model.system, sched))
         results.append(pr.conditional_variance_floor(model))
     else:  # thm2
-        for k in range(sched.K):
-            if k % 2 == 0:
-                continue
-            ratio = pr.llt_probe_density(
-                model, sched, k, mc_reps=config.mc_reps, seed=config.seed
-            )
-            results.append(ratio)
-            results.append(pr.clt_probe(model, sched, k, ratio=ratio))
+        for k in range(1, sched.K, 2):
+            ratio = pr.llt_probe_density(model, sched, k, mc_reps=config.mc_reps, seed=config.seed)
+            results += [ratio, pr.clt_probe(model, sched, k, ratio=ratio)]
         results.append(pr.density_bound_probe(model))
         results.append(pr.variance_probe(model))
         results.append(pr.mds_conditional_mean_test(model, window=3))
@@ -264,10 +261,7 @@ def _atomic_write(path: str, text: str) -> None:
 def write_report(bundle: ReportBundle, out_dir: str) -> dict[str, str]:
     """Write report.txt and report.ndjson; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "txt": os.path.join(out_dir, "report.txt"),
-        "ndjson": os.path.join(out_dir, "report.ndjson"),
-    }
+    paths = {ext: os.path.join(out_dir, f"report.{ext}") for ext in ("txt", "ndjson")}
     lines = [_encode(rec) for rec in _records(bundle)]
     _atomic_write(paths["ndjson"], "\n".join(lines) + "\n")
     _atomic_write(paths["txt"], _text_report(bundle))
@@ -287,11 +281,9 @@ def _text_report(bundle: ReportBundle) -> str:
         out.append("schedule:")
         out.append(f"  n   = {list(s.n)}")
         out.append(f"  H   = {list(s.H)}")
-        out.append(f"  p   = {['%.6g' % v for v in s.p]}")
-        out.append(f"  d   = {['%.6g' % v for v in s.d]}")
-        out.append(f"  rho = {['%.6g' % v for v in s.rho]}")
-        if s.eps:
-            out.append(f"  eps = {['%.6g' % v for v in s.eps]}")
+        for name in ("p", "d", "rho", "eps"):
+            if getattr(s, name):  # eps is empty off thm3
+                out.append(f"  {name:<3} = {['%.6g' % v for v in getattr(s, name)]}")
         out.append("")
     out.append("probes:")
     for r in bundle.results:
@@ -310,53 +302,43 @@ def _text_report(bundle: ReportBundle) -> str:
 
 
 def verify_certificate(ndjson_path: str) -> list[str]:
-    """Rerun the experiment the header describes and compare every record with it.
+    """Rerun the experiment the header describes and compare every line with it.
 
-    Returns one line per record compared.  Raises ParseError for malformed
-    input, including a header that does not describe a run, and
-    BoundMismatch when the records differ from the rerun's in kind or
-    number, when a line that is not the rerun record's text differs from
-    it in a field (integers, strings, booleans and None exactly, floats
-    within 1e-12 relative), or when a probe of the rerun fails.  The probes
-    compute every bound from the schedule, so the rerun is the one source
-    of the bounds the file must carry.
+    Returns one line per record compared.  Raises ParseError for input that
+    does not parse: an unreadable file, a header that does not describe a
+    run, or a line unlike the rerun's text that is not JSON or lacks a
+    field.  Raises BoundMismatch when the line count differs from the
+    rerun's, when such a line differs in a field (integers, strings,
+    booleans and None exactly, floats within 1e-12 relative), or when a
+    probe of the rerun fails.  Only the header and those lines are parsed.
     """
     try:
         with open(ndjson_path) as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
-        records = [json.loads(line) for line in lines]
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ParseError(f"cannot parse certificate: {exc}") from exc
-    if not records or not isinstance(records[0], dict) or records[0].get("record") != "header":
+    header = _load(lines[0]) if lines else None
+    if not isinstance(header, dict) or header.get("record") != "header":
         raise ParseError("first record must be the header")
-    header = records[0]
     try:
         config = ExperimentConfig.from_dict(
             {k: v for k, v in header.items() if k not in ("record", "version")})
     except ConfigError as exc:
         raise ParseError(f"malformed certificate header: {exc}") from exc
-    kinds = [rec.get("record") if isinstance(rec, dict) else None for rec in records[1:]]
-    for kind in kinds:
-        if kind not in ("schedule", "model", "probe"):
-            raise ParseError(f"unknown record type {kind!r}")
     try:
         bundle = run_experiment(config)
     except (SlowCltError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"the header does not describe a run: {exc!r}") from exc
-    found = kinds.count("probe")
-    if found != len(bundle.results):
-        raise BoundMismatch(f"expected {len(bundle.results)} probe records, found {found}")
     want = _records(bundle)
-    if [rec["record"] for rec in want[1:]] != kinds:
-        raise BoundMismatch(f"records {kinds} differ from the rerun's "
-                            f"{[rec['record'] for rec in want[1:]]}")
+    if len(lines) != len(want):
+        raise BoundMismatch(f"{len(lines)} records, the rerun gives {len(want)}")
     checks: list[str] = []
-    for line, got, rec in zip(lines, records, want):
+    for line, rec in zip(lines, want):
         kind = rec["record"]
         where = f"{rec['name']}[{rec['index']}]" if kind == "probe" else kind
         text = _encode(rec)
         if line != text:
-            _compare(got, json.loads(text), where)
+            _compare(header if kind == "header" else _load(line), json.loads(text), where)
         if kind == "probe":
             checks.append(f"{where}: every field re-derived")
         elif kind != "header":
@@ -365,6 +347,13 @@ def verify_certificate(ndjson_path: str) -> list[str]:
     if failed:
         raise BoundMismatch(f"probes that fail on the rerun: {', '.join(failed)}")
     return checks
+
+
+def _load(line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"cannot parse certificate: {exc}") from exc
 
 
 def _compare(got, want, where: str) -> None:

@@ -42,6 +42,8 @@ from slowclt.distributions import (
     sample_partial_sums,
     two_interval_sum_probability,
 )
+from slowclt.probes import clt_probe, llt_probe_lattice
+from slowclt.towers import occupancy_distribution, occupancy_distributions
 from oracles import lattice_sum_by_path_enumeration
 
 # Phi(x) frozen from a 25-digit computation
@@ -169,6 +171,18 @@ class TestConvolutionPowers:
         assert convolution_powers([0.2, 0.8], [0])[0].tolist() == [1.0]
 
 
+def unflushed_mixture(a, occ) -> np.ndarray:
+    """P(S_n = x - n) over the occupancy law occ: the mixture of the m-fold
+    powers of the full kernel [a/2, 1 - a, a/2], no entry dropped."""
+    n = occ.window
+    law, out = np.array([1.0]), np.zeros(2 * n + 1)
+    for m, w in enumerate(occ.probs):
+        if w != 0.0:
+            out[n - m : n + m + 1] += w * law
+        law = np.convolve(law, np.array([a / 2.0, 1.0 - a, a / 2.0]))
+    return out
+
+
 def tiny_lattice_model(a=0.5):
     sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
     return ProcessModel("thm1", sys_, LatticeNoise(a), (1, 2), (1.0, 1.0))
@@ -230,16 +244,35 @@ class TestLatticeSumDistribution:
 
     def test_sublattice_chain_equals_full_kernel(self, thm1_k5_desk):
         # the a = 1 law against the mixture over the full kernel [1/2, 0, 1/2]
-        from slowclt.towers import occupancy_distribution
-
         n = 64
-        occ = occupancy_distribution(thm1_k5_desk.system, thm1_k5_desk.slab, n).probs
-        law, want = np.array([1.0]), np.zeros(2 * n + 1)
-        for m, w in enumerate(occ):
-            if w != 0.0:
-                want[n - m : n + m + 1] += w * law
-            law = np.convolve(law, np.array([0.5, 0.0, 0.5]))
-        assert np.array_equal(lattice_sum_distribution(thm1_k5_desk, n).probs, want)
+        occ = occupancy_distribution(thm1_k5_desk.system, thm1_k5_desk.slab, n)
+        assert np.array_equal(lattice_sum_distribution(thm1_k5_desk, n).probs,
+                              unflushed_mixture(1.0, occ))
+
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_flushed_chain_within_bound_of_unflushed(self, thm1_k5_desk, a):
+        # at n = 1200 the unflushed chain's ends are subnormal, 2^-m at a = 1
+        # from m = 1023 and 4^-m at a = 1/2 from m = 512; dropping them moves
+        # the law by less than the stated n 2^-1021 in total
+        n = 1200
+        model = dataclasses.replace(thm1_k5_desk, noise=LatticeNoise(a))
+        want = unflushed_mixture(a, occupancy_distribution(model.system, model.slab, n))
+        assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
+        got = lattice_sum_distribution(model, n).probs
+        assert np.sum(np.abs(got - want)) <= n * 2.0 ** -1021
+
+    def test_flush_leaves_llt_and_clt_values(self):
+        # thm1 c=0.5 beta=0.5 K=5 reaches n_4 = 4096, where the flush drops
+        # the ends of every m-fold law past m = 1022
+        sched = derive_schedule("thm1", RateSequence(0.5, 0.5), K=5)
+        model = build_counterexample(sched)
+        occs = occupancy_distributions(model.system, model.slab, sched.n)
+        laws = lattice_sum_distributions(model, sched.n)
+        for k, (occ, law) in enumerate(zip(occs, laws)):
+            ref = LatticeDistribution(-occ.window, unflushed_mixture(1.0, occ))
+            for probe in (llt_probe_lattice, clt_probe):
+                got, want = (probe(model, sched, k, dist=d).value for d in (law, ref))
+                assert got == want
 
     @pytest.mark.parametrize("n, p0, kolmogorov", [
         (4, 0.6516927331686018, 0.32584636658430094),

@@ -1,5 +1,6 @@
 """Config parsing, report writing, certificate verification, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -66,6 +67,25 @@ class TestConfig:
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({**BASE, "variant": "thm7"})
+
+    def test_schema_is_the_dataclass(self):
+        # a field declared only on the dataclass is read, typed and defaulted
+        @dataclasses.dataclass(frozen=True)
+        class Extended(ExperimentConfig):
+            extra: int = 0
+
+        cfg = Extended.from_dict({**BASE, "extra": 3})
+        assert isinstance(cfg, Extended) and (cfg.extra, cfg.K) == (3, 3)
+        assert Extended.from_dict(BASE).extra == 0
+        with pytest.raises(ConfigError, match="'extra' must be int"):
+            Extended.from_dict({**BASE, "extra": "3"})
+        # required: schema_version and exactly the fields without a default
+        no_default = [f.name for f in dataclasses.fields(ExperimentConfig)
+                      if f.default is dataclasses.MISSING
+                      and f.default_factory is dataclasses.MISSING]
+        with pytest.raises(ConfigError) as missing:
+            Extended.from_dict({})
+        assert str(missing.value) == f"missing config fields: {['schema_version', *no_default]}"
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -153,7 +173,7 @@ class TestWriteAndVerify:
         kept = [l for l in lines if json.loads(l).get("name") != "mds"]
         trimmed = tmp_path / "trimmed.ndjson"
         trimmed.write_text("\n".join(kept) + "\n")
-        with pytest.raises(BoundMismatch, match="probe records"):
+        with pytest.raises(BoundMismatch, match="11 records, the rerun gives 12"):
             verify_certificate(str(trimmed))
 
     def test_empty_file_is_parse_error(self, tmp_path):
@@ -701,6 +721,57 @@ class TestEveryFieldVerified:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(BoundMismatch, match=field):
             verify_certificate(str(path))
+
+
+class TestVerifyParsesOnlyWhatDiffers:
+    @staticmethod
+    def _parsed_lines(monkeypatch, lines, path) -> list[str]:
+        """The lines of the certificate that verify_certificate parses."""
+        parsed, real = [], json.loads
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        verify_certificate(str(path))
+        monkeypatch.undo()
+        return [text for text in parsed if text in lines]
+
+    def test_untouched_certificate_parses_the_header_only(self, golden, tmp_path, monkeypatch):
+        lines = golden["thm1"]
+        path = tmp_path / "report.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        assert self._parsed_lines(monkeypatch, lines, path) == [lines[0]]
+
+    def test_moved_field_parses_its_line_too(self, golden, tmp_path, monkeypatch):
+        lines = list(golden["thm1"])
+        rec = json.loads(lines[3])
+        assert (rec["name"], rec["index"]) == ("llt", 0)
+        rec["value"] = math.nextafter(rec["value"], math.inf)  # within 1e-12: verifies
+        lines[3] = json.dumps(rec, sort_keys=True)
+        path = tmp_path / "moved.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        assert self._parsed_lines(monkeypatch, lines, path) == [lines[0], lines[3]]
+
+    @pytest.mark.parametrize("what,error", [
+        ("garbage line", ParseError),
+        ("unknown record kind", BoundMismatch),
+        ("extra line of an unknown kind", BoundMismatch),
+    ])
+    def test_bad_line_after_the_header_exits_1(self, golden, tmp_path, capsys, what, error):
+        lines = list(golden["thm1"])
+        if what == "garbage line":
+            lines[2] = "this is not json"
+        elif what == "unknown record kind":
+            lines[2] = json.dumps({**json.loads(lines[2]), "record": "bogus"}, sort_keys=True)
+        else:
+            lines.append(json.dumps({"record": "bogus"}))
+        path = tmp_path / "tampered.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error):
+            verify_certificate(str(path))
+        assert main(["verify", str(path)]) == 1
 
 
 # values JSON lacks, and the text certificates have always carried for each
