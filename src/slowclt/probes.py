@@ -275,7 +275,12 @@ def conditional_variance_floor(model: ProcessModel) -> ProbeResult:
 
 # -- mixing ---------------------------------------------------------------
 
-LAG_CAP = 1 << 22  # largest lag the mixing search scans
+# OpenBLAS (0.3.31) sums an np.dot of up to 10,000 floats on one thread and
+# splits a longer one across its threads, which changes the order of the sum;
+# pieces of 8,193 floats, the whole kernel at thm3 c=0.25 beta=0.5 K=3, keep
+# one order under any thread count of that BLAS, not of one that splits
+# shorter dots
+DOT_BLOCK = 8193
 
 
 def _beta_kernel(sys: TowerSystem) -> np.ndarray:
@@ -309,7 +314,7 @@ def _beta_kernel(sys: TowerSystem) -> np.ndarray:
 def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, Callable[[int], float]]]:
     """Yield (m1, beta) for m1 = C, 2C, ..., C the chunk length of
     TowerSystem.renewal_chunks, a whole number of its blocks of L lags with
-    max(max H, 1024) <= C < max(max H, 1024) + L: beta(m) is the chain's
+    max(max H, 2^14) <= C < max(max H, 2^14) + L: beta(m) is the chain's
     beta-mixing coefficient at any lag m1 - C <= m <= m1, until the stream
     is advanced.
 
@@ -337,6 +342,10 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, Callable[[int], float]
     lambda and 1/mu, at thm3 c=0.25 beta=0.5 at the m_k, the m_k - 1 and 40
     other lags, it was within 2.4e-16, 3.3e-16, 3.1e-16, 6.9e-16 and
     2.0e-15 relative at K=3..7 (prefix sums of TV: 1.4e-13 to 2.7e-10).
+    The dot is taken in pieces of DOT_BLOCK floats, each one np.dot, and
+    math.fsum adds them to the deterministic term: the order of every sum
+    is fixed, so beta does not depend on how many threads BLAS runs, as
+    long as it sums each piece on one thread (DOT_BLOCK above).
     Each chunk keeps |u - 1/mu| at its C times and the 2W - 1 before them,
     in a buffer the stream allocates once; with the kernel, u and the
     recursion's temporaries the scan peaks near 8 max(H) floats (7.2 at
@@ -348,11 +357,13 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, Callable[[int], float]
     det = lam * (0.5 - lam)  # weights of the deterministic terms (H_l - m)_+
     kernel = _beta_kernel(sys)
     G = len(kernel)
+    pieces = [(s, kernel[s : s + DOT_BLOCK]) for s in range(0, G, DOT_BLOCK)]
     m0, dev = 0, None
 
     def beta(m: int) -> float:
         i = m - m0
-        return float(np.dot(det, np.maximum(H - m, 0)) + np.dot(kernel, dev[i : i + G]))
+        return math.fsum([np.dot(det, np.maximum(H - m, 0))]
+                         + [np.dot(k, dev[i + s : i + s + len(k)]) for s, k in pieces])
 
     for u in sys.renewal_chunks():
         C = len(u)
@@ -366,38 +377,84 @@ def _beta_chunks(sys: TowerSystem) -> Iterator[tuple[int, Callable[[int], float]
             dev[s:t] = dev[s + C : t + C]
 
 
+def _lag_cap(sys: TowerSystem) -> int:
+    """The last lag _mixing_lags scans: max(2^22, 64 max H).
+
+    Before max H, beta carries the deterministic terms of the towers not yet
+    left; after it, only the renewal sequence's approach to 1/mu.  A scan's
+    cost grows with its last lag and its memory with max H (the 2 max H - 1
+    kernel), so 64 max H lags cost a fixed multiple of the first max H; the
+    floor of 2^22 lags leaves room for a small eps0, whose lags grow with
+    log(1/eps0).  The thm3 c=0.25
+    beta=0.5 chains need 30.1 max H at K=2 (107.7 at eps0 = 1e-5), 23.5 at
+    K=3 (72.9 at eps0 = 1e-5, last lag 298,537), 8.5 at K=5 and 1.26 at
+    K=8 (last lag 10,177,212, past 2^22).
+    """
+    return max(1 << 22, 64 * int(sys.heights.max()))
+
+
+def _first_at_most(beta: Callable[[int], float], bound: float, lo: int, at_lo: float,
+                   hi: int, at_hi: float) -> tuple[int, float]:
+    """(m, beta(m)) for the smallest lag lo < m <= hi with beta(m) <= bound,
+    given at_hi = beta(hi) <= bound, at_lo = beta(lo) (nan if not computed)
+    and beta non-increasing on [lo, hi].
+
+    Each step tests one lag strictly inside the bracket (lo, hi].  beta
+    falls nearly geometrically, so the step takes the line through the last
+    two lags tested (at first lo and hi) on log beta, and tests where it
+    meets log bound, rounded up into the bracket; once near m, that lands
+    within a lag or two of it.  It falls back to the bracket's midpoint when
+    the line is not defined, and when the bracket has not shrunk enough for
+    a bisection of it to end within 2 ceil(log2(hi - lo)) dots after this
+    step: no m costs more dots than that.  The answer satisfies beta(m) <=
+    bound < beta(m - 1) (or m = lo + 1), which proves it minimal whichever
+    steps found it.
+    """
+    budget = 2 * (hi - lo - 1).bit_length()  # bisection takes ceil(log2(width)) steps
+    (x1, v1), (x2, v2) = (lo, at_lo), (hi, at_hi)  # the last two lags tested
+    while hi - lo > 1:
+        budget -= 1
+        m = (lo + hi) // 2
+        if budget >= (hi - lo - 1).bit_length() and v1 > 0.0 and v2 > 0.0 and bound > 0.0:
+            rise = math.log(v2) - math.log(v1)
+            if rise != 0.0:
+                x = x2 + (x2 - x1) * (math.log(bound) - math.log(v2)) / rise
+                m = math.ceil(min(max(x, lo + 1), hi - 1))
+        at_m = beta(m)
+        if at_m <= bound:
+            hi, at_hi = m, at_m
+        else:
+            lo, at_lo = m, at_m
+        (x1, v1), (x2, v2) = (x2, v2), (m, at_m)
+    return hi, at_hi
+
+
 def _mixing_lags(sys: TowerSystem, eps: Sequence[float]) -> tuple[list[int], list[float]]:
-    """Smallest lags 1 <= m_0 < m_1 < ... <= LAG_CAP with beta(m_k) <= eps_k.
+    """Smallest lags 1 <= m_0 < m_1 < ... <= _lag_cap(sys) with beta(m_k) <= eps_k.
 
     beta is non-increasing in the lag, and so is its float value while it
     is well above its rounding floor of about 1e-16.  So each chunk of
-    _beta_chunks is tested at its last lag alone (LAG_CAP if that comes
+    _beta_chunks is tested at its last lag alone (the cap if that comes
     first).  When beta there is <= eps_k, the first lag with beta <= eps_k
-    lies in the chunk, and a bisection finds it with one dot per step; the
-    next eps is then tested at the same last lag.  Fewer lags than eps are
-    returned when the scan passes LAG_CAP.
+    lies in the chunk, between the last lag known above eps_k and that last
+    lag, and _first_at_most finds it; the next eps is then tested at the
+    same last lag.  Fewer lags than eps are returned when the scan passes
+    the cap.
     """
+    cap = _lag_cap(sys)
     lags: list[int] = []
     betas: list[float] = []
-    start = 1  # beta(start - 1) > eps_k, or start is the first lag searched
+    lo, at_lo = 0, math.nan  # no lag <= lo is searched; at_lo = beta(lo) once computed
     for m1, beta in _beta_chunks(sys):
-        last = min(m1, LAG_CAP)
-        at_last = beta(last)
-        while len(lags) < len(eps) and start <= last and at_last <= eps[len(lags)]:
-            bound, lo, hi, at_hi = eps[len(lags)], start, last, at_last
-            while lo < hi:
-                mid = (lo + hi) // 2
-                at_mid = beta(mid)
-                if at_mid <= bound:
-                    hi, at_hi = mid, at_mid
-                else:
-                    lo = mid + 1
-            lags.append(hi)
-            betas.append(at_hi)
-            start = hi + 1
-        if len(lags) == len(eps) or m1 >= LAG_CAP:
+        hi = min(m1, cap)
+        at_hi = beta(hi)
+        while len(lags) < len(eps) and lo < hi and at_hi <= eps[len(lags)]:
+            lo, at_lo = _first_at_most(beta, eps[len(lags)], lo, at_lo, hi, at_hi)
+            lags.append(lo)
+            betas.append(at_lo)
+        if len(lags) == len(eps) or m1 >= cap:
             return lags, betas
-        start = m1 + 1
+        lo, at_lo = m1, at_hi
 
 
 def mixing_profile(sys: TowerSystem, lags: Sequence[int]) -> MixingProfile:
@@ -428,7 +485,7 @@ def mixing_probe(sys: TowerSystem, sched: Schedule) -> ProbeResult:
     if len(lags) < len(sched.eps):
         return ProbeResult(
             name="mixing", index=-1, value=math.inf, bound=1.0, direction="<=",
-            method="exact", details={"failed_at_k": len(lags), "lag_cap": LAG_CAP},
+            method="exact", details={"failed_at_k": len(lags), "lag_cap": _lag_cap(sys)},
         )
     worst_ratio = max((b / (7.0 * eps) for b, eps in zip(betas, sched.eps)), default=0.0)
     return ProbeResult(

@@ -92,7 +92,7 @@ class TowerSystem:
 
     def renewal_chunks(self) -> Iterator[np.ndarray]:
         """Yield u(m0 .. m0 + C - 1) for m0 = 0, C, 2C, ..., C a multiple of L
-        with max(max H, 1024) <= C < max(max H, 1024) + L (L below).
+        with max(max H, 2^14) <= C < max(max H, 2^14) + L (L below).
 
         The landing row r does not depend on the tower left, so after a landing
         the chain's law is fixed by the renewal sequence (Feller, An Introduction
@@ -125,8 +125,9 @@ class TowerSystem:
         n, d = land.pop(B).as_integer_ratio()  # a = n / d
         q = max(1, min(min(land, default=8 * B) // B, 8))
         L = q * B
-        # C >= max(H) keeps the carried history; C >= 1024 keeps numpy calls few per lag
-        C = -(-max(W, 1024) // L) * L
+        # C >= max(H) keeps the carried history; C >= 2^14 keeps the chunks, and
+        # the beta scan's tests at their ends, few when max(H) is small
+        C = -(-max(W, 1 << 14) // L) * L
 
         def powers(c):  # c a^k for k = 0 .. q, exact in integers, rounded once
             cn, cd = c.as_integer_ratio()

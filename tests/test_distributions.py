@@ -274,6 +274,18 @@ class TestLatticeSumDistribution:
                 got, want = (probe(model, sched, k, dist=d).value for d in (law, ref))
                 assert got == want
 
+    def test_flush_keeps_normal_ends(self):
+        # P(S_n = +-n) = occ_n[n] 2^-n: every step active and of one sign.  At
+        # thm1 c=0.1 beta=1 K=10, n = 205 and 410, that is 5.8e-63 and
+        # 4.0e-126, normal floats the flush must keep; the llt and clt values
+        # are read where the law is large and do not see them
+        sched = derive_schedule("thm1", RateSequence(0.1, 1.0), K=10)
+        model = build_counterexample(sched)
+        windows = sched.n[-2:]
+        occs = occupancy_distributions(model.system, model.slab, windows)
+        for n, occ, law in zip(windows, occs, lattice_sum_distributions(model, windows)):
+            assert law.prob_at(n) == law.prob_at(-n) == occ.probs[n] * 2.0**-n > 0.0
+
     @pytest.mark.parametrize("n, p0, kolmogorov", [
         (4, 0.6516927331686018, 0.32584636658430094),
         (8, 0.5697184570182504, 0.2848592285091252),

@@ -1,5 +1,6 @@
 """Probe semantics: LLT/CLT inequalities, MDS checks, mixing, baseline."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -286,7 +287,8 @@ class TestMixing:
     def test_stream_equals_dense_matrix_powers(self, towers):
         total = sum(w for _, w in towers)
         sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
-        # lags 0-60, and lags on both sides of the stream's chunk boundaries
+        # lags 0-60 and past 1000; the powers' rounding grows with the lag, so
+        # test_beta_equals_exact_tv_assembly checks the chunk edges, past 2^14
         lags = list(range(61)) + [1023, 1024, 1025, 2049]
         prof = mixing_profile(sys_, lags)
         # dense transition matrix: climb one level, or land by the row from a top
@@ -412,6 +414,11 @@ class TestMixing:
         total = sum(w for _, w in towers)
         sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
         self._assert_within_exact_bound(sys_)
+        # the exact integers grow by E bits a lag, so the first two chunks and
+        # the lag past them, with every chunk edge there, are checked against
+        # a long-double recursion
+        n = 2 * len(next(sys_.renewal_chunks())) + 2
+        self._assert_within_longdouble_bound(sys_, self._streamed_u(sys_, n))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 300), st.floats(0.05, 1.0)), min_size=1, max_size=4),
@@ -427,20 +434,22 @@ class TestMixing:
         split = build_tower_system([half for spec, c in zip(specs, cut) for half in
                                     ([TowerSpec(spec.height, spec.mass / 2)] * 2 if c else [spec])])
         self._assert_within_exact_bound(split)
-        shapes = []
+        shapes, dot = [], np.dot
         for sys_ in (build_tower_system(specs), split):
-            with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+            seen = set()
+            with mock.patch.object(np, "dot", lambda a, *rest, **kw: seen.add(a.shape) or dot(
+                    a, *rest, **kw)):
                 list(itertools.islice(sys_.renewal_chunks(), 2))
-            shapes.append({call.args[0].shape for call in dot.call_args_list})
+            shapes.append(seen)
         L, g = self._blocks(split)  # M is q x (1 + q #{distinct heights > B}) = q x (g - 1)
         assert shapes[0] == shapes[1] == {(L // int(split.heights.min()), g - 1)}
 
     @classmethod
     def _assert_within_exact_bound(cls, sys_):
         # renewal_chunks' bound: u(t) within a factor (1 +- gamma_g)^(t // L + 1)
-        # of exact, checked in integers at every lag of the first two chunks
-        # and past the second boundary, so at every block and chunk edge there
-        n = 2 * len(next(sys_.renewal_chunks())) + 2
+        # of exact, checked in integers at every lag up to 2100, past seven
+        # blocks (L <= 300 here)
+        n = 2100
         got = cls._streamed_u(sys_, n).tolist()
         U, E = cls._exact_u(sys_, n)
         L, g = cls._blocks(sys_)
@@ -449,6 +458,18 @@ class TestMixing:
             b = cls._growth(g, Fraction(1, 1 << 53), t // L + 1)
             assert abs((p << E * t) - U[t] * s_) * b.denominator <= b.numerator * U[t] * s_, t
 
+    @classmethod
+    def _assert_within_longdouble_bound(cls, sys_, got):
+        # the stream and a long-double recursion are each within their bound
+        # of the exact u, so |u - u_ld| <= (b + b_ld) u <= (b + b_ld) u_ld / (1 - b_ld)
+        ref = cls._longdouble_u(sys_, len(got))
+        t = np.arange(len(got))
+        L, g = cls._blocks(sys_)
+        b = cls._growth(g, 2.0**-53, t // L + 1)
+        b_ld = cls._growth(len(sys_.heights), np.finfo(np.longdouble).eps / 2,
+                           t // int(sys_.heights.min()) + 1)
+        assert np.all(np.abs(got - ref) <= (b + b_ld) / (1 - b_ld) * ref)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(1, 300), st.floats(0.05, 1.0)), min_size=1, max_size=4),
@@ -456,8 +477,9 @@ class TestMixing:
     )
     @example([(3, 0.2), (20, 0.5), (300, 0.3)], [0, 1, 299, 300, 301, 1023, 1024, 1025, 2049])
     @example([(1, 0.9), (7, 0.1)], [0, 1, 2, 5, 1024, 1025])  # a level with half the mass
-    # block (L = 18) and chunk (C = 1026) edges
-    @example([(3, 0.2), (20, 0.5), (300, 0.3)], [17, 18, 19, 36, 1025, 1026, 1027, 2051, 2052, 2053])
+    # block (L = 18) and chunk (C = 16398) edges
+    @example([(3, 0.2), (20, 0.5), (300, 0.3)],
+             [17, 18, 19, 36, 16397, 16398, 16399, 32795, 32796, 32797])
     def test_beta_equals_exact_tv_assembly(self, towers, lags):
         total = sum(w for _, w in towers)
         sys_ = build_tower_system([TowerSpec(h, w / total) for h, w in towers])
@@ -465,18 +487,10 @@ class TestMixing:
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
     def test_desk_stream_is_within_the_longdouble_bound(self, c, beta, K):
-        # the stream and a long-double recursion are each within their bound
-        # of the exact u, so |u - u_ld| <= (b + b_ld) u <= (b + b_ld) u_ld / (1 - b_ld)
         s = derive_schedule_thm3(RateSequence(c, beta), K)
         chain = build_counterexample(s).system
         n = mixing_probe(chain, s).details["m_lags"][-1] + 1
-        got, ref = self._streamed_u(chain, n), self._longdouble_u(chain, n)
-        t = np.arange(n)
-        L, g = self._blocks(chain)
-        b = self._growth(g, 2.0**-53, t // L + 1)
-        b_ld = self._growth(len(chain.heights), np.finfo(np.longdouble).eps / 2,
-                            t // int(chain.heights.min()) + 1)
-        assert np.all(np.abs(got - ref) <= (b + b_ld) / (1 - b_ld) * ref)
+        self._assert_within_longdouble_bound(chain, self._streamed_u(chain, n))
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.1, 1.0, 8)])
     def test_desk_beta_equals_exact_tv_assembly(self, c, beta, K):
@@ -542,12 +556,70 @@ class TestMixing:
         assert _mixing_lags(sys_, eps) == (want, [prof[m] for m in want])
 
     def test_lag_cap_stops_the_search(self):
-        s = derive_schedule_thm3(DESK_THM3, 3)
+        # nearly periodic chains, still at beta > 0.8 at the cap: an eps met
+        # first at the cap is found, one met a lag later is not, and the
+        # record names the cap, at the floor of 2^22 lags and at 64 max H past it
+        for towers, cap in [([(1000, 0.5), (1001, 0.5)], 1 << 22),
+                            ([(30000, 0.5), (65537, 0.5)], 64 * 65537)]:
+            chain = build_tower_system([TowerSpec(h, w) for h, w in towers])
+            assert probes._lag_cap(chain) == cap
+            at = mixing_profile(chain, [cap - 1, cap, cap + 1]).beta
+            assert at[0] > at[1] > at[2]
+            assert _mixing_lags(chain, [at[1], at[2]]) == ([cap], [at[1]])
+            s = dataclasses.replace(derive_schedule_thm3(DESK_THM3, 2), eps=(at[1], at[2]))
+            r = mixing_probe(chain, s)
+            assert not r.passed and r.details == {"failed_at_k": 1, "lag_cap": cap}
+
+    def test_small_eps0_certifies_past_64_max_h(self):
+        # lags grow with log(1/eps0): at eps0 = 1e-5 the K=3 desk chain's last
+        # lag is 72.9 max H, which the cap's floor of 2^22 lags still reaches
+        s = derive_schedule_thm3(DESK_THM3, 3, eps0=1e-5)
         chain = build_counterexample(s).system
-        lags, betas = _mixing_lags(chain, s.eps)  # 63457, 79887, 96347
-        for cap, found in [(lags[1] - 1, 1), (lags[1], 2), (lags[0] - 1, 0)]:
-            with mock.patch.object(probes, "LAG_CAP", cap):
-                assert _mixing_lags(chain, s.eps) == (lags[:found], betas[:found])
+        r = mixing_probe(chain, s)
+        assert r.passed
+        assert r.details["m_lags"] == [265_628, 282_082, 298_537]
+        assert r.details["m_lags"][-1] > 64 * int(chain.heights.max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 40 * 1024), min_size=1, max_size=5, unique=True),
+           st.booleans(), st.floats(0.05, 4.95))
+    @example([1, 1023, 1024, 1025, 40 * 1024], False, 2.5)  # chunk edges
+    @example([1000, 40 * 1024 - 1], False, 0.1)  # the end of a chunk's bracket
+    @example([3000, 3001, 3002], True, 0.0)
+    def test_search_meets_bisection_within_twice_its_dots(self, crossings, geometric, drop):
+        # log beta creeps down a plateau, then falls by 5 at each crossing,
+        # with log eps_k a distance drop below the plateau: a line through
+        # two lags on one plateau aims far from the crossing, and a line
+        # across a fall aims near the end of the bracket that eps is closer
+        # to.  A geometric beta puts the line on the crossing.  Either way
+        # each m_k costs at most 2 log2(C) dots beyond the chunk ends, and the
+        # lags are the first crossings, as plain bisection finds them
+        C, N = 1024, 41 * 1024
+        crossings = sorted(crossings)
+        m = np.arange(N + 1)
+        if geometric:
+            beta = np.exp(-m / 1000.0)
+            eps = [math.exp(0.5e-3 - c / 1000.0) for c in crossings]
+        else:
+            beta = np.exp(-1e-6 * m - 5.0 * np.searchsorted(crossings, m, side="right"))
+            eps = [math.exp(-5.0 * k - drop) for k in range(len(crossings))]
+        beta = beta.tolist()
+        tested = []
+
+        def chunks(sys_):
+            def at(lag):
+                tested.append(lag)
+                return beta[lag]
+            for m1 in range(C, N + 1, C):
+                yield m1, at
+
+        chain = build_tower_system([TowerSpec(N, 1.0)])  # a cap past N
+        with mock.patch.object(probes, "_beta_chunks", chunks):
+            got = _mixing_lags(chain, eps)
+        assert got == (crossings, [beta[c] for c in crossings])
+        ends = -(-crossings[-1] // C)
+        per_lag = 4 if geometric else 2 * math.ceil(math.log2(C))
+        assert len(tested) <= ends + per_lag * len(crossings)
 
     def test_scan_memory_is_a_few_max_h(self):
         # u, |u - 1/mu| and the kernel are about 8 max(H) floats (the
@@ -586,14 +658,14 @@ class TestMixing:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 3000), st.floats(0.05, 1.0)), min_size=1, max_size=4))
     @example([(33, 0.8), (256, 0.1), (4097, 0.1)])
-    def test_chunk_is_the_first_block_multiple_past_max_h_and_1024(self, towers):
+    def test_chunk_is_the_first_block_multiple_past_max_h_and_2_14(self, towers):
         # so the scan's last chunk runs past its last lag by less than L more
-        # than with chunks of max(max H, 1024)
+        # than with chunks of max(max H, 2^14)
         total = sum(w for _, w in towers)
         self._assert_chunk_length(build_tower_system([TowerSpec(h, w / total) for h, w in towers]))
 
     @pytest.mark.parametrize("c, beta, K", [(0.25, 0.5, 3), (0.25, 0.5, 6), (0.1, 1.0, 8)])
-    def test_desk_chunk_is_the_first_block_multiple_past_max_h_and_1024(self, c, beta, K):
+    def test_desk_chunk_is_the_first_block_multiple_past_max_h_and_2_14(self, c, beta, K):
         self._assert_chunk_length(build_counterexample(derive_schedule_thm3(
             RateSequence(c, beta), K)).system)
 
@@ -601,7 +673,7 @@ class TestMixing:
     def _assert_chunk_length(cls, sys_):
         C = len(next(sys_.renewal_chunks()))
         L, _ = cls._blocks(sys_)
-        floor = max(int(sys_.heights.max()), 1024)
+        floor = max(int(sys_.heights.max()), 1 << 14)
         assert C % L == 0 and floor <= C < floor + L
 
     @pytest.mark.parametrize("K, lags, betas", [
@@ -654,13 +726,22 @@ class TestMixing:
         for b_val, eps in zip(r.details["beta_at_m"], s.eps):
             assert b_val <= eps <= 7 * eps
 
-    def test_k7_meets_seven_eps_below_lag_cap(self):
-        # the odd remainder (675) makes beta(m) fall fast enough: every lag
-        # is found below LAG_CAP, the last at 3,825,012
-        s = derive_schedule_thm3(DESK_THM3, 7)
-        r = mixing_probe(build_counterexample(s).system, s)
+    def test_k8_meets_eight_eps_below_lag_cap(self):
+        # max H = 8,099,717: the last lag, 1.26 max H, lies past 2^22
+        s = derive_schedule_thm3(DESK_THM3, 8)
+        chain = build_counterexample(s).system
+        r = mixing_probe(chain, s)
         assert r.passed
-        assert r.details["m_lags"][-1] == 3_825_012 <= probes.LAG_CAP
+        assert r.details["m_lags"][-1] == 10_177_212 <= probes._lag_cap(chain)
+
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_profile_gives_the_probe_beta_to_the_bit(self, K):
+        # benchmarks/selftest.py checks mixing_profile against a renewal
+        # oracle, so it must read the stream the mixing record reads
+        s = derive_schedule_thm3(DESK_THM3, K)
+        chain = build_counterexample(s).system
+        r = mixing_probe(chain, s)
+        assert mixing_profile(chain, r.details["m_lags"]).beta == tuple(r.details["beta_at_m"])
 
 
 class TestGnedenkoBaseline:

@@ -968,12 +968,15 @@ def test_thm1_k7_certifies_under_200mb(tmp_path):
 
 def test_thm3_desk_certificate_does_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a long np.dot across threads, which changes the order of
-    # its sum.  The K=3 scan's dots of 2 max H - 1 = 8,193 floats give the
-    # same bytes under 1 and 2 threads; K=5's longer ones do not yet
-    for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-m", "slowclt.cli", "report", *CLI_FLAGS["thm3"],
-                               "--out", str(tmp_path / threads)], capture_output=True, text=True,
-                              timeout=120, env=_child_env(OPENBLAS_NUM_THREADS=threads))
-        assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "1" / "report.ndjson").read_bytes() == (
-        tmp_path / "2" / "report.ndjson").read_bytes()
+    # its sum.  The scan takes each beta in dots of at most 8,193 floats, which
+    # keep one order: K=3's kernel of 2 max H - 1 = 8,193 floats is one such
+    # dot, and K=4's 32,769 are four
+    for K in ("3", "4"):
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "slowclt.cli", "report",
+                                   *CLI_FLAGS["thm3"], "--K", K, "--out", str(tmp_path / K / threads)],
+                                  capture_output=True, text=True, timeout=120,
+                                  env=_child_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / K / "1" / "report.ndjson").read_bytes() == (
+            tmp_path / K / "2" / "report.ndjson").read_bytes(), K
