@@ -261,22 +261,13 @@ def _remainder_height(heights: Sequence[int], min_height: int) -> int:
 
 
 class LatticeNoise:
-    """P(g = +-1) = a/2, P(g = 0) = 1 - a; mean 0, variance a."""
+    """The fair coin: P(g = -1) = P(g = +1) = 1/2; mean 0, variance 1."""
 
     kind = "lattice"
-
-    def __init__(self, a: float):
-        if not (0.0 < a <= 1.0):
-            raise ValueError("a must lie in (0, 1]")
-        self.a = a
-
-    @property
-    def variance(self) -> float:
-        return self.a
+    variance = 1.0
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.random(size)
-        return np.where(u < self.a / 2, -1.0, np.where(u < self.a, 1.0, 0.0))
+        return np.where(rng.random(size) < 0.5, -1.0, 1.0)
 
 
 class TwoIntervalUniformNoise:
@@ -346,7 +337,7 @@ class ProcessModel:
 
 
 def build_counterexample(sched: Schedule) -> ProcessModel:
-    """The variant's model: lattice noise LatticeNoise(1.0) for thm1 and thm3,
+    """The variant's model: the fair coin LatticeNoise() for thm1 and thm3,
     TwoIntervalUniformNoise for thm2."""
     towers = []  # (spec, slab, value) of each tower
     for H, n, p, d in zip(sched.H, sched.n, sched.p, sched.d):
@@ -366,7 +357,7 @@ def build_counterexample(sched: Schedule) -> ProcessModel:
         noise = TwoIntervalUniformNoise()
     else:
         towers.append((rem, 0, 1.0))
-        noise = LatticeNoise(1.0)
+        noise = LatticeNoise()
     specs, slab, value = zip(*towers)
     model = ProcessModel(sched.variant, build_tower_system(specs), noise, slab, value, sched)
     mu_a = model.mu_inactive

@@ -1,9 +1,10 @@
 """Exact and Monte Carlo laws of partial sums, and Kolmogorov distances.
 
-Lattice laws are exact mixtures of noise convolutions conditioned on the
-occupancy count.  The density probe's b_n = P(|g_1+...+g_n| <= sqrt(n)) is
-one exact rational evaluation just below sqrt(n), and the noise sum's
-density, at most 1, bounds what it leaves out.  The Binomial x Irwin-Hall
+Lattice laws are exact mixtures, over the occupancy count m, of the m-fold
+convolutions of the fair coin, the one lattice noise.  The density probe's
+b_n = P(|g_1+...+g_n| <= sqrt(n)) is one exact rational evaluation just
+below sqrt(n), and the noise sum's density, at most 1, bounds what it
+leaves out.  The Binomial x Irwin-Hall
 form of the noise sum regroups into one CDF sum over O(n) distinct
 Irwin-Hall points, weighted by the coefficients of (1 + y^3)^n (1 - y)^n,
 and the symmetry of the sum leaves only its lower tail to evaluate.
@@ -133,58 +134,53 @@ def convolution_powers(probs, ns, conv=None) -> dict[int, np.ndarray]:
 
 
 def _lattice(model) -> tuple:
-    """(a, slab) of a lattice model: its noise's P(g != 0), and the slabs
-    below which its towers are inactive."""
+    """The slabs of a lattice model, below which its towers are inactive."""
     if model.noise.kind != "lattice":
         raise VariantMismatch("lattice_sum_distribution needs a lattice model")
-    return model.noise.a, model.slab
+    return model.slab
 
 
-def _mixtures(a: float, occs) -> list[LatticeDistribution]:
-    """The law of S_n for each occupancy law: the mixture over the count m of
-    the m-fold noise law, from one chain of noise laws up to the largest
-    window.  At a = 1 the kernel's middle tap is 0, so each m-fold law lives
-    on every other point: the chain runs on that sublattice with kernel
-    [1/2, 1/2], and each parity class of S_n is summed in its own array.
-    Exact zeros are left out, and so are both ends while both are subnormal,
-    below 2^-1022 (at a = 1 from m = 1023), whose arithmetic is slow.  At
-    most N such pairs go in N steps, each of mass under 2^-1021, so up to
+def _mixtures(occs) -> list[LatticeDistribution]:
+    """The law of S_n for each occupancy law occ, occ[m] = P(m active steps)
+    in a window of n = len(occ) - 1: the mixture over m of the m-fold coin
+    law.  One chain of coin laws serves all windows, on the parity
+    sublattice with kernel [1/2, 1/2], and each parity class of S_n is
+    summed in its own array.  Exact zeros are left out, and so are both ends
+    while both are subnormal (below 2^-1022, from m = 1023; slow to add).
+    At most N such pairs go in N steps, each of mass under 2^-1021, so up to
     rounding each law of a window of N is within N 2^-1021 of the unflushed
     chain's in total absolute difference, and the same to the bit while no
     end is subnormal."""
-    step = 2 if a == 1.0 else 1
-    kernel = np.array([a / 2.0, 1.0 - a, a / 2.0])[::step]
-    # part[x % step, x // step] = P(S_n = x - n)
-    parts = [np.zeros((step, 2 * occ.window // step + 1)) for occ in occs]
+    kernel = np.array([0.5, 0.5])
+    ns = [len(occ) - 1 for occ in occs]
+    # part[x % 2, x // 2] = P(S_n = x - n)
+    parts = [np.zeros((2, n + 1)) for n in ns]
     law, lo = np.array([1.0]), 0  # law[i] is the chain's entry lo + i
-    for m in range(max(occ.window for occ in occs) + 1):
-        for occ, part in zip(occs, parts):
-            x = occ.window - m
-            if x >= 0 and occ.probs[m] != 0.0:
-                start = x // step + lo
-                part[x % step, start : start + len(law)] += occ.probs[m] * law
+    for m in range(max(ns) + 1):
+        for n, occ, part in zip(ns, occs, parts):
+            x = n - m
+            if x >= 0 and occ[m] != 0.0:
+                start = x // 2 + lo
+                part[x % 2, start : start + len(law)] += occ[m] * law
         law = np.convolve(law, kernel)
         while law[0] < _TINY and law[-1] < _TINY:
             law, lo = law[1:-1], lo + 1
-    return [LatticeDistribution(-occ.window, part.T.ravel()[: 2 * occ.window + 1])
-            for occ, part in zip(occs, parts)]
+    return [LatticeDistribution(-n, part.T.ravel()[: 2 * n + 1]) for n, part in zip(ns, parts)]
 
 
 def lattice_sum_distributions(model, windows) -> list[LatticeDistribution]:
     """Exact laws of the n-step partial sums of a lattice model at each window
-    n: one pass of occupancy_distributions and one noise chain serve them
+    n: one pass of occupancy_distributions and one coin chain serve them
     all, each law the same to the bit as lattice_sum_distribution at its n.
     O(#skeletons K^2 + K N + N^2) time, N the largest window."""
-    a, slab = _lattice(model)
-    return _mixtures(a, occupancy_distributions(model.system, slab, windows))
+    return _mixtures(occupancy_distributions(model.system, _lattice(model), windows))
 
 
 def lattice_sum_distribution(model, n: int) -> LatticeDistribution:
     """Exact law of the n-step partial sum of a lattice model: the mixture over
-    the occupancy count m (occupancy_distribution at n) of the m-fold noise
+    the occupancy count m (occupancy_distribution at n) of the m-fold coin
     law.  O(#skeletons K^2 + K n + n^2) time and O(K n) memory."""
-    a, slab = _lattice(model)
-    return _mixtures(a, [occupancy_distribution(model.system, slab, n)])[0]
+    return _mixtures([occupancy_distribution(model.system, _lattice(model), n)])[0]
 
 
 def _cell_masses_scaled_noise(c: float, left: float, step: float, ncells: int) -> np.ndarray:

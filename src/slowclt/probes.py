@@ -240,8 +240,7 @@ def _mds_tower_level(model, j, filter_coeff) -> float:
 
 def _noise_support(model):
     if model.noise.kind == "lattice":
-        a = model.noise.a
-        return [(v, p) for v, p in zip((-1.0, 0.0, 1.0), (a / 2.0, 1.0 - a, a / 2.0)) if p > 0.0]
+        return [(-1.0, 0.5), (1.0, 0.5)]
     # two-interval noise, conditioned by sign: each sign carries its
     # conditional mean +-3/4, and E g = 0.
     return [(-0.75, 0.5), (0.75, 0.5)]

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import MassSumError
 
 MASS_TOL = 1e-9
-CONSISTENCY_TOL = 1e-12
 TRAJECTORY_BLOCK = 1 << 14  # reps per substream of sample_trajectory_batch
 PASS_BATCH = 1 << 15  # the most (skeleton, start tower, final tower) triples in a batch
 
@@ -39,22 +38,6 @@ class TowerSpec:
             raise ValueError(f"tower height must be >= 1, got {self.height}")
         if not (0.0 < self.mass <= 1.0):
             raise ValueError(f"tower mass must lie in (0, 1], got {self.mass}")
-
-
-@dataclass(frozen=True)
-class OccupancyDistribution:
-    """Exact law of the number of active steps in a length-n window."""
-
-    window: int
-    probs: np.ndarray  # index m in [0, window]
-
-    def __post_init__(self):
-        if len(self.probs) != self.window + 1:
-            raise ValueError(f"a window of {self.window} needs {self.window + 1} "
-                             f"probabilities, got {len(self.probs)}")
-        total = float(np.sum(self.probs))
-        if not abs(total - 1.0) < CONSISTENCY_TOL:
-            raise ValueError(f"occupancy probabilities sum to {total!r}, not 1")
 
 
 class TowerSystem:
@@ -265,9 +248,10 @@ def _add_passes(acc, cover, edge, base, x, c0, g, full, hs, w, s, hd, r) -> None
         np.add.at(out, v.ravel(), m.ravel())  # np.add.at is fast on flat arrays
 
 
-def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[OccupancyDistribution]:
+def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[np.ndarray]:
     """Exact law of m = #{0 <= i < n : state_i active}, stationary start, at
-    each window n, tower l active above its lowest slab[l] levels.
+    each window n, tower l active above its lowest slab[l] levels: an array
+    of n + 1 probabilities, indexed by m.
 
     Starts that leave no top are counted in closed form (_window_counts).
     Any other climbs to a top, runs a skeleton of complete passes through
@@ -313,9 +297,9 @@ def occupancy_distributions(sys: TowerSystem, slab, windows) -> list[OccupancyDi
     runs = np.where(np.cumsum(cover[:, 1], axis=1) > 0, np.cumsum(acc[:, 1], axis=1), 0.0)
     occs = [(sys.level_masses[:, None] * _window_counts(sys, slab, n)).sum(axis=0)
             + acc[i, 0, : n + 1] + np.maximum(runs[i, : n + 1], 0.0) for i, n in enumerate(windows)]
-    return [OccupancyDistribution(window=n, probs=occ / occ.sum()) for n, occ in zip(windows, occs)]
+    return [occ / occ.sum() for occ in occs]
 
 
-def occupancy_distribution(sys: TowerSystem, slab, n: int) -> OccupancyDistribution:
-    """occupancy_distributions at the one window n."""
+def occupancy_distribution(sys: TowerSystem, slab, n: int) -> np.ndarray:
+    """occupancy_distributions at the one window n: P(m) at index m, 0 <= m <= n."""
     return occupancy_distributions(sys, slab, [n])[0]

@@ -61,17 +61,13 @@ def occupancy_by_path_enumeration(sys_, slab, n: int) -> np.ndarray:
 
 def lattice_sum_by_path_enumeration(model, n: int) -> LatticeDistribution:
     """The law of S_n of a lattice model: every path of enumerate_paths
-    times every noise outcome."""
-    a = model.noise.a
-    noise = [(v, p) for v, p in ((-1, a / 2.0), (0, 1.0 - a), (1, a / 2.0)) if p > 0.0]
-    outcomes = list(itertools.product(noise, repeat=n))
-    values = np.array([[v for v, _ in o] for o in outcomes], dtype=float)
-    probs = np.array([math.prod(p for _, p in o) for o in outcomes])
+    times every one of the 2^n equally likely outcomes of n fair coins."""
+    values = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     law = np.zeros(2 * n + 1)
     weight = weights(model)
     for path, prob in enumerate_paths(model.system, n):
         totals = np.rint(values @ weight[list(path)]).astype(int)
-        np.add.at(law, totals + n, prob * probs)
+        np.add.at(law, totals + n, prob / 2**n)
     return LatticeDistribution(offset=-n, probs=law)
 
 

@@ -170,7 +170,7 @@ def test_criterion_07_strong_mds(thm1, thm3):
     """Exact conditional means 0 on a small instance and on the desk
     instances; the linear-filter control fails exactly."""
     sys_ = build_tower_system([TowerSpec(7, 0.6), TowerSpec(8, 0.4)])
-    small = ProcessModel("thm1", sys_, LatticeNoise(0.5), (4, 0), (1.0, 1.0))
+    small = ProcessModel("thm1", sys_, LatticeNoise(), (4, 0), (1.0, 1.0))
     assert sys_.n_states <= 100
     for window in (2, 3, 4):
         res = mds_conditional_mean_test(small, window)
@@ -197,12 +197,11 @@ def test_criterion_08_oracle_equivalence():
     for specs, slab in systems:
         sys_ = build_tower_system(specs)
         assert sys_.n_states <= 200
-        for a in (0.5, 1.0):
-            model = ProcessModel("thm1", sys_, LatticeNoise(a), slab, (1.0,) * len(slab))
-            for n in (1, 4, 8):
-                exact = lattice_sum_distribution(model, n)
-                ref = lattice_sum_by_path_enumeration(model, n)
-                assert np.max(np.abs(exact.probs - ref.probs)) <= 1e-10
+        model = ProcessModel("thm1", sys_, LatticeNoise(), slab, (1.0,) * len(slab))
+        for n in (1, 4, 8):
+            exact = lattice_sum_distribution(model, n)
+            ref = lattice_sum_by_path_enumeration(model, n)
+            assert np.max(np.abs(exact.probs - ref.probs)) <= 1e-10
     for a in (0.3, 1.0):
         for m in range(7):
             dist = convolution_powers([a / 2, 1 - a, a / 2], [m])[m]

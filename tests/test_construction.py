@@ -1,6 +1,5 @@
 """Schedule derivation and model construction for the three variants."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -267,7 +266,7 @@ class TestBuildCounterexample:
         for k, (H, n) in enumerate(zip(s.H, s.n)):
             assert m.slab[2 * k : 2 * k + 2] == (H - n + 1, 0)
         assert m.value == (1.0,) * 5
-        assert m.noise.kind == "lattice" and m.noise.a == 1.0
+        assert isinstance(m.noise, LatticeNoise) and m.noise.variance == 1.0
 
     def test_thm2_weights(self):
         s = derive_schedule("thm2", DESK_THM2, 6)
@@ -287,24 +286,24 @@ class TestBuildCounterexample:
     def test_slab_must_fit_each_tower(self, slab, value):
         sys_ = build_tower_system([TowerSpec(3, 0.5), TowerSpec(3, 0.5)])
         with pytest.raises(ValueError):
-            ProcessModel("thm1", sys_, LatticeNoise(1.0), slab, value)
+            ProcessModel("thm1", sys_, LatticeNoise(), slab, value)
 
     def test_lattice_weight_is_0_or_1(self):
         # the lattice engines count visits to the levels above the slabs, so
         # weight 2 on tower 0 would silently be read as weight 1
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
         with pytest.raises(ValueError, match="weighs 0 or 1"):
-            ProcessModel("thm1", sys_, LatticeNoise(1.0), (1, 0), (2.0, 1.0))
+            ProcessModel("thm1", sys_, LatticeNoise(), (1, 0), (2.0, 1.0))
         # a tower wholly in its slab weighs 0 whatever its value
-        m = ProcessModel("thm1", sys_, LatticeNoise(1.0), (2, 0), (2.0, 1.0))
+        m = ProcessModel("thm1", sys_, LatticeNoise(), (2, 0), (2.0, 1.0))
         assert m.weight_at(np.arange(5)).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
         assert m.mu_inactive == pytest.approx(0.4)
         ProcessModel("thm2", sys_, TwoIntervalUniformNoise(), (1, 0), (2.0, 1.0))
 
     def test_sigma2_thm1(self):
         s = derive_schedule_thm1(DESK_THM1, 3)
-        m = dataclasses.replace(build_counterexample(s), noise=LatticeNoise(0.7))
-        assert m.sigma2 == pytest.approx(0.7 * (1 - sum(s.d)), abs=1e-12)
+        m = build_counterexample(s)
+        assert m.sigma2 == pytest.approx(1 - sum(s.d), abs=1e-12)
 
     def test_sigma2_thm2_matches_truncated_sum(self):
         s = derive_schedule("thm2", DESK_THM2, 12)

@@ -6,7 +6,6 @@ two-interval-uniform variables via an independent Binomial + Irwin-Hall
 decomposition (interval probabilities); they are pinned here as constants.
 """
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -106,7 +105,7 @@ def test_nan_input_raises_value_error(call):
 
 
 class TestSymmetricStepSum:
-    """The m-fold convolution power of the {-1, 0, 1} noise with P(+-1) = a/2."""
+    """The m-fold convolution power of the {-1, 0, 1} step law with P(+-1) = a/2."""
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("m", [0, 1, 2, 4, 6])
@@ -171,21 +170,22 @@ class TestConvolutionPowers:
         assert convolution_powers([0.2, 0.8], [0])[0].tolist() == [1.0]
 
 
-def unflushed_mixture(a, occ) -> np.ndarray:
-    """P(S_n = x - n) over the occupancy law occ: the mixture of the m-fold
-    powers of the full kernel [a/2, 1 - a, a/2], no entry dropped."""
-    n = occ.window
+def unflushed_mixture(occ) -> np.ndarray:
+    """P(S_n = x - n) over the occupancy law occ, n = len(occ) - 1: the
+    mixture of the m-fold powers of the coin on the full lattice, kernel
+    [1/2, 0, 1/2], no entry dropped."""
+    n = len(occ) - 1
     law, out = np.array([1.0]), np.zeros(2 * n + 1)
-    for m, w in enumerate(occ.probs):
+    for m, w in enumerate(occ):
         if w != 0.0:
             out[n - m : n + m + 1] += w * law
-        law = np.convolve(law, np.array([a / 2.0, 1.0 - a, a / 2.0]))
+        law = np.convolve(law, np.array([0.5, 0.0, 0.5]))
     return out
 
 
-def tiny_lattice_model(a=0.5):
+def tiny_lattice_model():
     sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-    return ProcessModel("thm1", sys_, LatticeNoise(a), (1, 2), (1.0, 1.0))
+    return ProcessModel("thm1", sys_, LatticeNoise(), (1, 2), (1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,7 @@ class TestLatticeSumDistribution:
 
     def test_variance_additivity(self):
         # strong-MDS structure: Var(S_n) = n * sigma^2 exactly
-        model = tiny_lattice_model(a=0.8)
+        model = tiny_lattice_model()
         for n in (1, 3, 7):
             d = lattice_sum_distribution(model, n)
             assert d.variance() == pytest.approx(n * model.sigma2, abs=1e-12)
@@ -232,33 +232,29 @@ class TestLatticeSumDistribution:
             se = math.sqrt(max(p * (1 - p), 1e-9) / reps)
             assert abs(est - p) < 5 * se
 
-    @pytest.mark.parametrize("a", [1.0, 0.5])
-    def test_windows_share_a_pass_bit_for_bit(self, thm1_k5_desk, a):
-        # a = 1 runs the noise chain on the sublattice, a = 0.5 on every point
-        model = dataclasses.replace(thm1_k5_desk, noise=LatticeNoise(a))
+    def test_windows_share_a_pass_bit_for_bit(self, thm1_k5_desk):
         windows = [64, 4, 8, 16, 32, 1]
-        for n, law in zip(windows, lattice_sum_distributions(model, windows)):
-            one = lattice_sum_distribution(model, n)
+        for n, law in zip(windows, lattice_sum_distributions(thm1_k5_desk, windows)):
+            one = lattice_sum_distribution(thm1_k5_desk, n)
             assert law.offset == one.offset == -n
             assert np.array_equal(law.probs, one.probs)
 
     def test_sublattice_chain_equals_full_kernel(self, thm1_k5_desk):
-        # the a = 1 law against the mixture over the full kernel [1/2, 0, 1/2]
+        # the sublattice chain against the mixture over the full kernel [1/2, 0, 1/2]
         n = 64
         occ = occupancy_distribution(thm1_k5_desk.system, thm1_k5_desk.slab, n)
         assert np.array_equal(lattice_sum_distribution(thm1_k5_desk, n).probs,
-                              unflushed_mixture(1.0, occ))
+                              unflushed_mixture(occ))
 
-    @pytest.mark.parametrize("a", [1.0, 0.5])
-    def test_flushed_chain_within_bound_of_unflushed(self, thm1_k5_desk, a):
-        # at n = 1200 the unflushed chain's ends are subnormal, 2^-m at a = 1
-        # from m = 1023 and 4^-m at a = 1/2 from m = 512; dropping them moves
-        # the law by less than the stated n 2^-1021 in total
+    def test_flushed_chain_within_bound_of_unflushed(self, thm1_k5_desk):
+        # at n = 1200 the unflushed chain's ends are subnormal, 2^-m from
+        # m = 1023; dropping them moves the law by less than the stated
+        # n 2^-1021 in total
         n = 1200
-        model = dataclasses.replace(thm1_k5_desk, noise=LatticeNoise(a))
-        want = unflushed_mixture(a, occupancy_distribution(model.system, model.slab, n))
+        occ = occupancy_distribution(thm1_k5_desk.system, thm1_k5_desk.slab, n)
+        want = unflushed_mixture(occ)
         assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
-        got = lattice_sum_distribution(model, n).probs
+        got = lattice_sum_distribution(thm1_k5_desk, n).probs
         assert np.sum(np.abs(got - want)) <= n * 2.0 ** -1021
 
     def test_flush_leaves_llt_and_clt_values(self):
@@ -269,7 +265,7 @@ class TestLatticeSumDistribution:
         occs = occupancy_distributions(model.system, model.slab, sched.n)
         laws = lattice_sum_distributions(model, sched.n)
         for k, (occ, law) in enumerate(zip(occs, laws)):
-            ref = LatticeDistribution(-occ.window, unflushed_mixture(1.0, occ))
+            ref = LatticeDistribution(1 - len(occ), unflushed_mixture(occ))
             for probe in (llt_probe_lattice, clt_probe):
                 got, want = (probe(model, sched, k, dist=d).value for d in (law, ref))
                 assert got == want
@@ -284,7 +280,25 @@ class TestLatticeSumDistribution:
         windows = sched.n[-2:]
         occs = occupancy_distributions(model.system, model.slab, windows)
         for n, occ, law in zip(windows, occs, lattice_sum_distributions(model, windows)):
-            assert law.prob_at(n) == law.prob_at(-n) == occ.probs[n] * 2.0**-n > 0.0
+            assert law.prob_at(n) == law.prob_at(-n) == occ[n] * 2.0**-n > 0.0
+
+    @pytest.mark.parametrize("variant, c, beta, K", [
+        ("thm1", 0.5, 1.0, 5), ("thm3", 0.25, 0.5, 3), ("thm1", 0.5, 0.5, 6),
+    ])
+    def test_moment_identities_at_desk_scale(self, variant, c, beta, K):
+        # the coin is fair and independent of the towers, so given M active
+        # steps S_n is symmetric with variance M: E M = n mu(active) by
+        # stationarity, and Var S_n = E M = n sigma^2
+        sched = derive_schedule(variant, RateSequence(c, beta), K=K)
+        model = build_counterexample(sched)
+        occs = occupancy_distributions(model.system, model.slab, sched.n)
+        laws = lattice_sum_distributions(model, sched.n)
+        for n, occ, law in zip(sched.n, occs, laws):
+            assert abs(math.fsum(law.probs) - 1.0) <= 1e-12
+            assert np.array_equal(law.probs, law.probs[::-1])
+            mean_m = math.fsum(np.arange(n + 1) * occ)
+            assert abs(mean_m - n * (1.0 - model.mu_inactive)) <= 1e-12 * n
+            assert law.variance() == pytest.approx(n * model.sigma2, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, p0, kolmogorov", [
         (4, 0.6516927331686018, 0.32584636658430094),

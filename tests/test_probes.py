@@ -47,10 +47,10 @@ from test_distributions import exact_power, rounding_bound
 DESK_THM3 = RateSequence(0.25, 0.5)
 
 
-def small_model(a=0.5):
+def small_model():
     """15-state two-tower model with one inactive slab; enumerable."""
     sys_ = build_tower_system([TowerSpec(7, 0.6), TowerSpec(8, 0.4)])
-    return ProcessModel("thm1", sys_, LatticeNoise(a), (4, 0), (1.0, 1.0))
+    return ProcessModel("thm1", sys_, LatticeNoise(), (4, 0), (1.0, 1.0))
 
 
 class TestProbeResult:
@@ -183,8 +183,7 @@ class TestMdsConditionalMean:
         kind = data.draw(st.sampled_from(["lattice", "two-interval", "biased"]))
         support = probes._noise_support
         if kind == "lattice":  # a lattice model weighs 0 or 1
-            m = ProcessModel("thm1", sys_, LatticeNoise(data.draw(st.floats(0.1, 1.0))),
-                             slab, (1.0,) * len(heights))
+            m = ProcessModel("thm1", sys_, LatticeNoise(), slab, (1.0,) * len(heights))
         else:
             value = tuple(data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0),
                                              min_size=len(heights), max_size=len(heights))))
@@ -236,17 +235,17 @@ class TestConditionalVarianceFloor:
 
     def test_positive_floor_without_slab(self):
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), (0, 0), (1.0, 1.0))
+        m = ProcessModel("thm1", sys_, LatticeNoise(), (0, 0), (1.0, 1.0))
         r = conditional_variance_floor(m)
-        assert r.value == pytest.approx(0.5)
+        assert r.value == pytest.approx(1.0)
         assert not r.passed
 
     def test_one_level_slab_is_left_in_one_step(self):
         # tower 0's slab is its base alone, so every climb lands on weight 1;
         # the floor is the landing row's mass on tower 1's active base, 1/2
         sys_ = build_tower_system([TowerSpec(2, 0.4), TowerSpec(3, 0.6)])
-        m = ProcessModel("thm1", sys_, LatticeNoise(0.5), (1, 0), (1.0, 1.0))
-        assert conditional_variance_floor(m).value == pytest.approx(0.5 * 0.5)
+        m = ProcessModel("thm1", sys_, LatticeNoise(), (1, 0), (1.0, 1.0))
+        assert conditional_variance_floor(m).value == pytest.approx(0.5)
 
 
 class TestMixing:

@@ -47,7 +47,9 @@ EXEMPT = {
     "towers.sample_trajectory_batch":
         "sample_partial_sums's paths; BENCHMARK.json times it "
         "(towers.sample_trajectory_batch_s)",
-    "construction.LatticeNoise.sample": "sample_partial_sums's noise on a lattice model",
+    "construction.LatticeNoise.sample":
+        "no src/ path samples a lattice model; tests/test_distributions.py's "
+        "test_monte_carlo_consistency checks sample_partial_sums against the exact law with it",
     "construction.TwoIntervalUniformNoise.sample": "sample_partial_sums's noise on thm2",
     "construction.ProcessModel.weight_at": "sample_partial_sums's weights",
     "towers.TowerSystem.push_forward":

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from slowclt import (
     MassSumError,
-    OccupancyDistribution,
     TowerSpec,
     TowerSystem,
     RateSequence,
@@ -100,7 +99,7 @@ class TestOccupancy:
         for slab in ((1, 1), (1, 2), (2, 0)):
             occ = occupancy_distribution(sys_, slab, 2)
             ref = occupancy_by_path_enumeration(sys_, slab, 2)
-            assert np.allclose(occ.probs, ref, atol=1e-12)
+            assert np.allclose(occ, ref, atol=1e-12)
 
     def test_matches_path_enumeration_short_towers(self):
         # window longer than every height: starts cross several tower tops
@@ -108,11 +107,11 @@ class TestOccupancy:
         for n in (4, 5, 6):
             occ = occupancy_distribution(sys_, (2, 1), n)
             ref = occupancy_by_path_enumeration(sys_, (2, 1), n)
-            assert np.allclose(occ.probs, ref, atol=1e-12)
+            assert np.allclose(occ, ref, atol=1e-12)
 
     def test_all_active_is_deterministic(self):
         occ = occupancy_distribution(small_system(), (0, 0), 3)
-        assert occ.probs[-1] == pytest.approx(1.0)
+        assert occ[-1] == pytest.approx(1.0)
 
     def test_base_levels_as_intervals(self):
         # the bases [0, 1) are the complement of the slabs of height 1, so
@@ -123,7 +122,7 @@ class TestOccupancy:
         ref = np.zeros(3)
         for path, prob in enumerate_paths(sys_, 2):
             ref[int(base[list(path)].sum())] += prob
-        assert np.allclose(occ.probs[::-1], ref, atol=1e-12)
+        assert np.allclose(occ[::-1], ref, atol=1e-12)
 
     @pytest.mark.parametrize("active", [
         (1,),  # one slab for two towers
@@ -145,7 +144,7 @@ class TestOccupancy:
         slab = (4, 1, 2)
         mu_active = float(stationary_array(sys_)[active_states(sys_, slab)].sum())
         occ = occupancy_distribution(sys_, slab, 3)
-        mean = float(np.dot(np.arange(4), occ.probs))
+        mean = float(np.dot(np.arange(4), occ))
         assert mean == pytest.approx(3 * mu_active, abs=1e-12)
 
     def test_moments_against_push_forward(self):
@@ -167,8 +166,8 @@ class TestOccupancy:
             joint = sys_.push_forward(joint)
             second += 2 * (n - t) * float(joint[active].sum())
         m = np.arange(n + 1)
-        assert float(np.dot(m, occ.probs)) == pytest.approx(n * mu_active, rel=1e-12)
-        assert float(np.dot(m * m, occ.probs)) == pytest.approx(second, rel=1e-12)
+        assert float(np.dot(m, occ)) == pytest.approx(n * mu_active, rel=1e-12)
+        assert float(np.dot(m * m, occ)) == pytest.approx(second, rel=1e-12)
 
 
 @st.composite
@@ -180,18 +179,6 @@ def tower_families(draw):
     raw = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(k)]
     total = sum(raw)
     return [TowerSpec(h, w / total) for h, w in zip(heights, raw)]
-
-
-class TestOccupancyDistribution:
-    @pytest.mark.parametrize("window, probs", [
-        (2, [0.5, 0.5]),  # one probability short
-        (1, [0.5, 0.4]),  # mass 0.9
-        (1, [np.nan, 1.0]),
-    ])
-    def test_bad_law_raises_value_error(self, window, probs):
-        # a ValueError, not an assert, so python -O keeps the check
-        with pytest.raises(ValueError):
-            OccupancyDistribution(window=window, probs=np.array(probs))
 
 
 @st.composite
@@ -239,7 +226,7 @@ class TestOccupancyProperties:
         slab = slabs(data, sys_)
         occ = occupancy_distribution(sys_, slab, n)
         ref = occupancy_by_path_enumeration(sys_, slab, n)
-        assert np.allclose(occ.probs, ref, atol=1e-12)
+        assert np.allclose(occ, ref, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(tower_families(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
@@ -248,9 +235,9 @@ class TestOccupancyProperties:
         sys_ = build_tower_system(specs)
         slab = slabs(data, sys_)
         laws = occupancy_distributions(sys_, slab, windows)
-        assert [law.window for law in laws] == windows
+        assert [len(law) - 1 for law in laws] == windows
         for n, law in zip(windows, laws):
-            assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
+            assert np.array_equal(law, occupancy_distribution(sys_, slab, n))
 
     @settings(max_examples=30, deadline=None)
     @given(wide_tower_families(), st.lists(st.integers(1, 40), min_size=2, max_size=4),
@@ -260,13 +247,13 @@ class TestOccupancyProperties:
         slab = slabs(data, sys_)
         laws = occupancy_distributions(sys_, slab, windows)
         for n, law in zip(windows, laws):
-            assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
+            assert np.array_equal(law, occupancy_distribution(sys_, slab, n))
 
     def test_desk_windows_share_a_pass_bit_for_bit(self):
         sys_, slab, windows = thm1_desk_occupancy_args()
         laws = occupancy_distributions(sys_, slab, windows)
         for n, law in zip(windows, laws):
-            assert np.array_equal(law.probs, occupancy_distribution(sys_, slab, n).probs)
+            assert np.array_equal(law, occupancy_distribution(sys_, slab, n))
 
     def test_windows_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -281,10 +268,10 @@ class TestOccupancyProperties:
         slab = slabs(data, sys_)
         occ = occupancy_distribution(sys_, slab, n)
         ref = occupancy_by_path_enumeration(sys_, slab, n)
-        assert np.allclose(occ.probs, ref, atol=1e-10)
-        assert occ.probs.sum() == pytest.approx(1.0)
-        assert np.all(occ.probs >= 0.0)
-        assert np.all(occ.probs[ref == 0.0] == 0.0)  # a count no path reaches
+        assert np.allclose(occ, ref, atol=1e-10)
+        assert occ.sum() == pytest.approx(1.0)
+        assert np.all(occ >= 0.0)
+        assert np.all(occ[ref == 0.0] == 0.0)  # a count no path reaches
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=3), st.integers(0, 10**4),
